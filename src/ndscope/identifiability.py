@@ -28,9 +28,8 @@ from fractions import Fraction
 
 from . import ratmat
 from .model import (
-    NdsDefinition, NotRegular, SCMatrix,
-    assemble_block_tfms, check_nds_regular, check_subsystem_regular,
-    check_well_posed, nds_tfm, subsystem_tfms, tfm_equal, transpose_nds,
+    NdsDefinition, NotRegular, SCMatrix, SubsystemTfms, check_nds_regular,
+    check_well_posed, nds_tfm, subsystem_tfms, tfm_equal,
 )
 from .polymat import (
     NEG_INF, PolyMat, ShapeError, normal_rank, proper_split,
@@ -165,11 +164,7 @@ def classify_case(nds: NdsDefinition,
                   tfms_per_sub=None) -> CaseTag:
     """Exact normal-rank classification of the instance."""
     if tfms_per_sub is None:
-        tfms_per_sub = []
-        for k, sub in enumerate(nds.subsystems):
-            if not check_subsystem_regular(sub):
-                raise NotRegular(f"subsystem {k + 1} is not regular")
-            tfms_per_sub.append(subsystem_tfms(sub))
+        tfms_per_sub = [subsystem_tfms(sub) for sub in nds.subsystems]
     zu_ranks = tuple(normal_rank(t.G_zu) for t in tfms_per_sub)
     yv_ranks = tuple(normal_rank(t.G_yv) for t in tfms_per_sub)
     zu_full = all(r == s.n_z for r, s in zip(zu_ranks, nds.subsystems))
@@ -185,7 +180,13 @@ def classify_case(nds: NdsDefinition,
     return CaseTag(kind=kind, zu_ranks=zu_ranks, yv_ranks=yv_ranks)
 
 
-def _pencil_blocks(sub, tfms, hat: bool, twist=None):
+def _classified(nds: NdsDefinition):
+    """Per-subsystem transfer matrices, computed once, and the case."""
+    tfms = [subsystem_tfms(sub) for sub in nds.subsystems]
+    return tfms, classify_case(nds, tfms)
+
+
+def _pencil_blocks(tfms, hat: bool, twist=None):
     """Per-subsystem pencil blocks.
 
     With ``hat`` the split is applied to Den^-1 times the transposed
@@ -216,13 +217,12 @@ def _pencil_blocks(sub, tfms, hat: bool, twist=None):
     return n_zv @ t, den_zv @ t
 
 
-def _build_pencil(nds: NdsDefinition, hat: bool, case: CaseTag,
+def _build_pencil(tfms_per_sub, hat: bool, case: CaseTag,
                   twists=None) -> IdentPencil:
     xs, ys = [], []
-    for k, sub in enumerate(nds.subsystems):
-        tfms = subsystem_tfms(sub)
+    for k, tfms in enumerate(tfms_per_sub):
         twist = twists[k] if twists is not None else None
-        n_blk, d_blk = _pencil_blocks(sub, tfms, hat, twist)
+        n_blk, d_blk = _pencil_blocks(tfms, hat, twist)
         xs.append(d_blk)
         ys.append(n_blk)
     return IdentPencil(X=PolyMat.block_diag(xs), Y=PolyMat.block_diag(ys),
@@ -235,20 +235,20 @@ def build_xy_pencil(nds: NdsDefinition, twists=None) -> IdentPencil:
     ``twists`` optionally right-multiplies each subsystem's MFD and
     split by unimodular factors (factorization-invariance checks).
     """
-    case = classify_case(nds)
+    tfms, case = _classified(nds)
     if case.kind != A2:
         raise WrongCase(f"expected case {A2}, got {case.kind}")
-    return _build_pencil(nds, hat=False, case=case, twists=twists)
+    return _build_pencil(tfms, hat=False, case=case, twists=twists)
 
 
 def build_xy_pencil_hat(nds: NdsDefinition, twists=None) -> IdentPencil:
     """Pencil restricted to the G_yv null directions (G_zu all FNRR)."""
-    case = classify_case(nds)
+    tfms, case = _classified(nds)
     if case.kind not in (A3, DUAL_A3):
         raise WrongCase(f"expected case {A3} or {DUAL_A3}, got {case.kind}")
     if case.kind == DUAL_A3:
         raise WrongCase("transpose the system first, then build the pencil")
-    return _build_pencil(nds, hat=True, case=case, twists=twists)
+    return _build_pencil(tfms, hat=True, case=case, twists=twists)
 
 
 def stacked_u2(pencil: IdentPencil, phi0: SCMatrix) -> StackedCoeffMatrix:
@@ -262,21 +262,25 @@ def stacked_u2(pencil: IdentPencil, phi0: SCMatrix) -> StackedCoeffMatrix:
     if phi_p.cols != pencil.Y.rows or phi_p.rows != pencil.X.rows:
         raise ShapeError("SCM shape does not match the pencil")
     m = pencil.X - (phi_p @ pencil.Y)
+    return _stacked_trailing_rows(m, m.rows)
+
+
+def _stacked_trailing_rows(m: PolyMat, cols: int) -> StackedCoeffMatrix:
+    """Smith form of m; stack the coefficient matrices of the first
+    ``cols`` columns of the rows of U^{-1} past the normal rank."""
     sf = smith_form(m)
     r = sf.normal_rank
-    lower = sf.U_inv.row_block(r, m.rows)
+    lower = sf.U_inv.submatrix(range(r, m.rows), range(cols))
     if lower.rows == 0:
-        return StackedCoeffMatrix(entries=[], p=0, r=r, cols=m.rows)
+        return StackedCoeffMatrix(entries=[], p=0, r=r, cols=cols)
     deg = lower.degree
     p = 0 if deg == NEG_INF else int(deg)
     entries = [row for k in range(p + 1) for row in lower.coeff_matrix(k)]
-    return StackedCoeffMatrix(entries=entries, p=p, r=r, cols=m.rows)
+    return StackedCoeffMatrix(entries=entries, p=p, r=r, cols=cols)
 
 
 def _require_regular(nds: NdsDefinition, phi0: SCMatrix):
-    for k, sub in enumerate(nds.subsystems):
-        if not check_subsystem_regular(sub):
-            raise NotRegular(f"subsystem {k + 1} is not regular")
+    # check_nds_regular itself raises NotRegular for an irregular subsystem
     if not check_nds_regular(nds, phi0):
         raise NotRegular("NDS is not regular at the given SCM")
 
@@ -288,24 +292,11 @@ def check_identifiable_at(nds: NdsDefinition, phi0: SCMatrix) -> IdentReport:
     warnings = ()
     if not check_well_posed(nds, phi0):
         warnings = ("not_well_posed",)
-    case = classify_case(nds)
+    tfms, case = _classified(nds)
     if case.kind == BOTH_FULL:
         return IdentReport(case=case, verdict=IDENTIFIABLE_BY_BOTH_FULL,
                            warnings=warnings)
-    if case.kind == A2:
-        pencil = _build_pencil(nds, hat=False, case=case)
-        stacked = stacked_u2(pencil, phi0)
-        transposed = False
-    elif case.kind == A3:
-        pencil = _build_pencil(nds, hat=True, case=case)
-        stacked = stacked_u2(pencil, phi0)
-        transposed = False
-    else:
-        dual = transpose_nds(nds)
-        dual_case = classify_case(dual)
-        pencil = _build_pencil(dual, hat=True, case=dual_case)
-        stacked = stacked_u2(pencil, phi0.transpose())
-        transposed = True
+    stacked, transposed = _stacked_for_case(phi0, case, tfms)
     if stacked.is_fcr():
         return IdentReport(case=case, verdict=IDENTIFIABLE, stacked=stacked,
                            transposed=transposed, warnings=warnings)
@@ -337,8 +328,7 @@ def verify_region_by_tfm(nds: NdsDefinition, phi0: SCMatrix,
     TFMs whenever the perturbed NDS is regular).
     """
     rng = random.Random(seed)
-    tfms = assemble_block_tfms(nds)
-    h0 = nds_tfm(nds, phi0, tfms)
+    h0 = nds_tfm(nds, phi0)
     d = region.dim
     gcols = phi0.rows if region.transposed else phi0.cols
     ok = True
@@ -349,7 +339,7 @@ def verify_region_by_tfm(nds: NdsDefinition, phi0: SCMatrix,
         if not check_nds_regular(nds, phi):
             ok = False
             continue
-        ok = ok and tfm_equal(nds_tfm(nds, phi, tfms), h0)
+        ok = ok and tfm_equal(nds_tfm(nds, phi), h0)
     for _ in range(n_out):
         for _attempt in range(64):
             delta = [[_random_fraction(rng) for _ in range(phi0.cols)]
@@ -361,24 +351,29 @@ def verify_region_by_tfm(nds: NdsDefinition, phi0: SCMatrix,
         else:
             continue
         if check_nds_regular(nds, cand):
-            ok = ok and not tfm_equal(nds_tfm(nds, cand, tfms), h0)
+            ok = ok and not tfm_equal(nds_tfm(nds, cand), h0)
     return ok
 
 
-def _stacked_for_case(nds: NdsDefinition, phi0: SCMatrix):
-    """Stacked matrix of the case-appropriate pencil (dual one if needed)."""
-    case = classify_case(nds)
+def _stacked_for_case(phi0: SCMatrix, case: CaseTag, tfms_per_sub):
+    """(stacked matrix, transposed) of the case-appropriate pencil.
+
+    In case dual_a3 the pencil is built for the transposed system, whose
+    subsystem transfer matrices are the transposes with the roles of
+    (u, v) and (y, z) exchanged (see ``model.transpose_nds``).
+    """
     if case.kind == BOTH_FULL:
         raise WrongCase("constrained tests need a rank-deficient case")
-    if case.kind == A2:
-        return stacked_u2(_build_pencil(nds, hat=False, case=case),
-                          phi0), case, False
-    if case.kind == A3:
-        return stacked_u2(_build_pencil(nds, hat=True, case=case),
-                          phi0), case, False
-    dual = transpose_nds(nds)
-    return stacked_u2(_build_pencil(dual, hat=True, case=classify_case(dual)),
-                      phi0.transpose()), case, True
+    if case.kind != DUAL_A3:
+        pencil = _build_pencil(tfms_per_sub, hat=case.kind == A3, case=case)
+        return stacked_u2(pencil, phi0), False
+    dual = [SubsystemTfms(G_yu=t.G_yu.transpose(), G_yv=t.G_zu.transpose(),
+                          G_zu=t.G_yv.transpose(), G_zv=t.G_zv.transpose())
+            for t in tfms_per_sub]
+    dual_case = CaseTag(kind=A3, zu_ranks=case.yv_ranks,
+                        yv_ranks=case.zu_ranks)
+    pencil = _build_pencil(dual, hat=True, case=dual_case)
+    return stacked_u2(pencil, phi0.transpose()), True
 
 
 def check_identifiable_known_entries(nds: NdsDefinition, phi0: SCMatrix,
@@ -393,7 +388,8 @@ def check_identifiable_known_entries(nds: NdsDefinition, phi0: SCMatrix,
     """
     phi0.check_shape(nds)
     _require_regular(nds, phi0)
-    stacked, case, transposed = _stacked_for_case(nds, phi0)
+    tfms, case = _classified(nds)
+    stacked, transposed = _stacked_for_case(phi0, case, tfms)
     if transposed:
         known = {}
         for j in spec.J:
@@ -443,7 +439,8 @@ def check_identifiable_parameterized(nds: NdsDefinition, spec,
     phi0 = spec.at(theta0)
     phi0.check_shape(nds)
     _require_regular(nds, phi0)
-    stacked, case, transposed = _stacked_for_case(nds, phi0)
+    tfms, case = _classified(nds)
+    stacked, transposed = _stacked_for_case(phi0, case, tfms)
     directions = [d.transpose() if transposed else d for d in spec.directions]
     q = len(directions)
     cols = []
@@ -477,7 +474,7 @@ def check_identifiable_augmented(nds: NdsDefinition, phi0: SCMatrix,
     """
     phi0.check_shape(nds)
     _require_regular(nds, phi0)
-    case = classify_case(nds)
+    tfms, case = _classified(nds)
     if case.kind != A2:
         raise WrongCase(
             f"augmented test agrees with the direct one only in case {A2}")
@@ -491,7 +488,7 @@ def check_identifiable_augmented(nds: NdsDefinition, phi0: SCMatrix,
     if any(p == 0 for p in p_diag):
         raise ZeroDiagonal("diagonal entries must be nonzero")
 
-    pencil = _build_pencil(nds, hat=False, case=case)
+    pencil = _build_pencil(tfms, hat=False, case=case)
     p_mat = [[p_diag[i] if i == j else Fraction(0) for j in range(m_z)]
              for i in range(m_z)]
     phi_p = PolyMat.from_scalars(
@@ -503,19 +500,7 @@ def check_identifiable_augmented(nds: NdsDefinition, phi0: SCMatrix,
     bot = PolyMat(m_z, m_v + m_z, [
         pencil.Y.entries[i] + [-x for x in p_poly.entries[i]]
         for i in range(m_z)])
-    m_aug = PolyMat.vstack([top, bot])
-    sf = smith_form(m_aug)
-    r = sf.normal_rank
-    lower = sf.U_inv.row_block(r, m_aug.rows)
-    restricted = lower.submatrix(range(lower.rows), range(m_v))
-    if restricted.rows == 0:
-        stacked = StackedCoeffMatrix(entries=[], p=0, r=r, cols=m_v)
-    else:
-        deg = restricted.degree
-        p = 0 if deg == NEG_INF else int(deg)
-        entries = [row for k in range(p + 1)
-                   for row in restricted.coeff_matrix(k)]
-        stacked = StackedCoeffMatrix(entries=entries, p=p, r=r, cols=m_v)
+    stacked = _stacked_trailing_rows(PolyMat.vstack([top, bot]), m_v)
     if stacked.is_fcr():
         return IdentReport(case=case, verdict=IDENTIFIABLE, stacked=stacked)
     return IdentReport(case=case, verdict=NOT_IDENTIFIABLE, stacked=stacked,

@@ -9,12 +9,17 @@ internal output z (sent to other subsystems) and the external output y:
     y    = C_yx x + D_yv v + D_yu u
 
 The interconnection is v = Phi z with Phi the subsystem connection
-matrix (SCM).  All matrices are exact rationals; every transfer function
-computation in this module is symbolic and exact.
+matrix (SCM).  All matrices are exact rationals.  Every transfer matrix
+is C (sE - A)^-1 B + D of some descriptor realization (a subsystem, the
+lifted NDS or a lumped model) and comes from one exact route,
+``descriptor_tfm``: evaluation at rational points and interpolation
+under the degree bound deg <= rank E.  Regularity is decided by the same
+bounded point test (``pencil_is_regular``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,8 +64,6 @@ def parse_rat(x) -> Fraction:
 
 
 def _parse_matrix(raw, rows, cols, name):
-    if not isinstance(raw, list) or any(not isinstance(r, list) for r in raw):
-        raise SchemaError(f"{name} must be a list of rows")
     if rows == 0:
         if raw != []:
             raise DimensionError(f"{name} must be empty (expected 0 rows)")
@@ -333,15 +336,21 @@ def parse_model(text):
         if missing:
             raise SchemaError(
                 f"subsystem {k + 1} is missing {', '.join(missing)}")
-        e = raw["E"]
-        if not isinstance(e, list) or not e:
+        # types first: the dimensions below index into these lists
+        for key in _SUB_KEYS:
+            m = raw[key]
+            if not isinstance(m, list) or \
+                    any(not isinstance(r, list) for r in m):
+                raise SchemaError(
+                    f"subsystem {k + 1}.{key} must be a list of rows")
+        n_x = len(raw["E"])
+        if n_x == 0:
             raise SchemaError(f"subsystem {k + 1}: E must be a nonempty matrix")
-        n_x = len(e)
         b_xv = raw["B_xv"]
-        if not isinstance(b_xv, list) or len(b_xv) != n_x:
+        if len(b_xv) != n_x:
             raise DimensionError(f"subsystem {k + 1}: B_xv must have {n_x} rows")
-        n_v = len(b_xv[0]) if b_xv and isinstance(b_xv[0], list) else 0
-        n_u = len(raw["B_xu"][0]) if raw["B_xu"] and isinstance(raw["B_xu"][0], list) else 0
+        n_v = len(b_xv[0])
+        n_u = len(raw["B_xu"][0]) if raw["B_xu"] else 0
         n_z = len(raw["C_zx"])
         n_y = len(raw["C_yx"])
         fields = {
@@ -398,23 +407,81 @@ def parse_constraints(c, nds: NdsDefinition):
     raise SchemaError("unknown constraint kind")
 
 
+def _nonsingular_points(e, a, count=None):
+    """(s, sE - A, det(sE - A)) at the first ``count`` points s = 0, 1,
+    2, ... where the determinant is nonzero (default: rank E + 1 points),
+    or None when the pencil is singular.
+
+    Degree bound: with r = rank E, write E = U diag(I_r, 0) V for
+    invertible constant U, V; only r entries of U^-1 (sE - A) V^-1 carry
+    s, so det(sE - A) has degree <= r.  A nonzero determinant thus
+    vanishes at no more than r points: it is identically zero iff it
+    vanishes at r + 1 distinct points, and at most 2r + 1 points are ever
+    evaluated.
+    """
+    r = ratmat.rank(e)
+    count = r + 1 if count is None else count
+    found, misses = [], 0
+    for s in itertools.count():
+        p = ratmat.sub(ratmat.scale(e, s), a)
+        d = ratmat.det(p)
+        if d:
+            found.append((Fraction(s), p, d))
+            if len(found) == count:
+                return found
+        else:
+            misses += 1
+            if misses > r:
+                return None
+
+
+def pencil_is_regular(e, a) -> bool:
+    """True iff det(sE - A) is not the zero polynomial (bounded point test)."""
+    return _nonsingular_points(e, a, 1) is not None
+
+
+def descriptor_tfm(e, a, b, c, d) -> RatFunMat:
+    """Exact transfer matrix C (sE - A)^-1 B + D of a regular realization.
+
+    H = N / det(sE - A) with N = C adj(sE - A) B + det(sE - A) D.  Every
+    entry of adj(sE - A) is an (n-1)-minor of the pencil, the determinant
+    of some s E' - A' with rank E' <= rank E, so N and det(sE - A) both
+    have degree <= rank E (bound in ``_nonsingular_points``).  Their values
+    at rank E + 1 points where the determinant is nonzero therefore
+    determine them by interpolation.  RatFun reduces N_ij / det to its
+    canonical form, so the result does not depend on the points chosen.
+    """
+    pts = _nonsingular_points(e, a)
+    if pts is None:
+        raise NotRegular("pencil sE - A is singular for every s")
+    n = len(e)
+    rows, cols = len(c), len(b[0])
+    samples = []
+    for _, p, det in pts:
+        h = ratmat.add(ratmat.matmul(c, ratmat.solve(p, b), inner=n), d)
+        samples.append([det] + [det * x for row in h for x in row])
+    vander = [[s ** k for k in range(len(pts))] for s, _, _ in pts]
+    coeffs = ratmat.transpose(ratmat.solve(vander, samples))
+    den = Poly(coeffs[0])
+    return RatFunMat(rows, cols, [
+        [RatFun(Poly(coeffs[1 + i * cols + j]), den) for j in range(cols)]
+        for i in range(rows)])
+
+
 def check_subsystem_regular(sub: SubsystemRealization) -> bool:
     """True iff det(lambda E - A_xx) is not the zero polynomial."""
-    return not sub.pencil().det().is_zero
+    return pencil_is_regular(ratmat.thaw(sub.E), ratmat.thaw(sub.A_xx))
 
 
 def subsystem_tfms(sub: SubsystemRealization) -> SubsystemTfms:
     """Exact transfer function matrices of one subsystem."""
-    if not check_subsystem_regular(sub):
-        raise NotRegular("subsystem pencil is singular for every lambda")
-    p_inv = sub.pencil().to_ratfun().inverse()
-    c = RatFunMat.from_scalars(ratmat.vstack(sub.C_yx, sub.C_zx))
-    b = RatFunMat.from_scalars(
-        ratmat.hstack(ratmat.thaw(sub.B_xu), ratmat.thaw(sub.B_xv)))
-    d = RatFunMat.from_scalars(ratmat.vstack(
-        ratmat.hstack(ratmat.thaw(sub.D_yu), ratmat.thaw(sub.D_yv)),
-        ratmat.hstack(ratmat.thaw(sub.D_zu), ratmat.thaw(sub.D_zv))))
-    t = d + (c @ p_inv @ b)
+    t = descriptor_tfm(
+        ratmat.thaw(sub.E), ratmat.thaw(sub.A_xx),
+        ratmat.hstack(ratmat.thaw(sub.B_xu), ratmat.thaw(sub.B_xv)),
+        ratmat.vstack(sub.C_yx, sub.C_zx),
+        ratmat.vstack(
+            ratmat.hstack(ratmat.thaw(sub.D_yu), ratmat.thaw(sub.D_yv)),
+            ratmat.hstack(ratmat.thaw(sub.D_zu), ratmat.thaw(sub.D_zv))))
     n_y, n_u = sub.n_y, sub.n_u
     return SubsystemTfms(
         G_yu=t.submatrix(range(n_y), range(n_u)),
@@ -427,11 +494,7 @@ def subsystem_tfms(sub: SubsystemRealization) -> SubsystemTfms:
 
 def assemble_block_tfms(nds: NdsDefinition) -> SubsystemTfms:
     """Block-diagonal transfer matrices of the disconnected subsystem stack."""
-    per = []
-    for k, sub in enumerate(nds.subsystems):
-        if not check_subsystem_regular(sub):
-            raise NotRegular(f"subsystem {k + 1} is not regular")
-        per.append(subsystem_tfms(sub))
+    per = [subsystem_tfms(sub) for sub in nds.subsystems]
     return SubsystemTfms(
         G_yu=RatFunMat.block_diag([t.G_yu for t in per]),
         G_yv=RatFunMat.block_diag([t.G_yv for t in per]),
@@ -440,16 +503,50 @@ def assemble_block_tfms(nds: NdsDefinition) -> SubsystemTfms:
     )
 
 
-def _phi_ratfun(phi: SCMatrix) -> RatFunMat:
-    return RatFunMat.from_scalars(phi.as_lists())
+def lifted_realization(nds: NdsDefinition, phi: SCMatrix):
+    """Descriptor realization (E, A, B, C, D) of the NDS with state col{x, z}.
+
+    Keeps the internal outputs as algebraic states, so it needs only
+    regularity, not well-posedness:
+
+        [E 0] d[x]   [A_xx  B_xv Phi     ] [x]   [B_xu]
+        [0 0]  [z] = [C_zx  D_zv Phi - I ] [z] + [D_zu] u
+                 y = [C_yx  D_yv Phi] [x; z] + D_yu u
+    """
+    m_x, m_z = nds.m_x, nds.m_z
+    phi_m = phi.as_lists()
+    e = ratmat.vstack(
+        ratmat.hstack(nds.block("E"), ratmat.zeros(m_x, m_z)),
+        ratmat.zeros(m_z, m_x + m_z))
+    a = ratmat.vstack(
+        ratmat.hstack(nds.block("A_xx"),
+                      ratmat.matmul(nds.block("B_xv"), phi_m)),
+        ratmat.hstack(nds.block("C_zx"),
+                      ratmat.sub(ratmat.matmul(nds.block("D_zv"), phi_m),
+                                 ratmat.identity(m_z))))
+    b = ratmat.vstack(nds.block("B_xu"), nds.block("D_zu"))
+    c = ratmat.hstack(nds.block("C_yx"),
+                      ratmat.matmul(nds.block("D_yv"), phi_m))
+    return e, a, b, c, nds.block("D_yu")
+
+
+def _check_subsystems(nds: NdsDefinition):
+    for k, sub in enumerate(nds.subsystems):
+        if not check_subsystem_regular(sub):
+            raise NotRegular(f"subsystem {k + 1} is not regular")
 
 
 def check_nds_regular(nds: NdsDefinition, phi: SCMatrix) -> bool:
-    """True iff det(I - G_zv(lambda) Phi) is not identically zero."""
+    """True iff det(I - G_zv(lambda) Phi) is not identically zero.
+
+    Raises NotRegular when a subsystem is irregular.  Otherwise the test
+    runs on the lifted pencil: by the Schur complement,
+    det(sE_L - A_L) = det(sE - A_xx) det(I - G_zv(s) Phi).
+    """
     phi.check_shape(nds)
-    tfms = assemble_block_tfms(nds)
-    w = RatFunMat.identity(nds.m_z) - (tfms.G_zv @ _phi_ratfun(phi))
-    return not w.det().is_zero
+    _check_subsystems(nds)
+    e, a, _, _, _ = lifted_realization(nds, phi)
+    return pencil_is_regular(e, a)
 
 
 def check_well_posed(nds: NdsDefinition, phi: SCMatrix) -> bool:
@@ -461,17 +558,12 @@ def check_well_posed(nds: NdsDefinition, phi: SCMatrix) -> bool:
     return ratmat.det(m) != 0
 
 
-def nds_tfm(nds: NdsDefinition, phi: SCMatrix,
-            tfms: SubsystemTfms | None = None) -> RatFunMat:
-    """External transfer matrix H = G_yu + G_yv (I - Phi G_zv)^-1 Phi G_zu."""
+def nds_tfm(nds: NdsDefinition, phi: SCMatrix) -> RatFunMat:
+    """External transfer matrix H = G_yu + G_yv (I - Phi G_zv)^-1 Phi G_zu,
+    computed by ``descriptor_tfm`` on the lifted realization."""
     phi.check_shape(nds)
-    if tfms is None:
-        tfms = assemble_block_tfms(nds)
-    phi_r = _phi_ratfun(phi)
-    w = RatFunMat.identity(nds.m_v) - (phi_r @ tfms.G_zv)
-    if w.det().is_zero:
-        raise NotRegular("I - Phi G_zv is singular as a rational matrix")
-    return tfms.G_yu + (tfms.G_yv @ w.inverse() @ phi_r @ tfms.G_zu)
+    _check_subsystems(nds)
+    return descriptor_tfm(*lifted_realization(nds, phi))
 
 
 def tfm_equal(h1: RatFunMat, h2: RatFunMat) -> bool:

@@ -11,9 +11,15 @@ module.  The central objects are
 * ``right_coprime_mfd`` / ``proper_split`` -- coprime fraction
   descriptions of rational matrices.
 
-Rank decisions (normal rank, coprimeness, unimodularity) are computed
-exactly; a randomised point-evaluation rank is available only as a
-cross-check in the test-suite, never as the verdict.
+Matrix elimination over Q(s) (``RatFunMat.det``/``inverse``,
+``normal_rank``) runs the one Gaussian elimination of ``ratmat`` on
+``RatFun`` entries; ``smith_form`` keeps its own Euclidean reduction.
+Decisions made by evaluating at rational points are exact only under a
+stated degree bound: a nonzero polynomial of degree <= r has at most r
+roots, so r + 1 distinct points decide whether it vanishes identically
+(``model.descriptor_tfm`` states its bound beside the code).  Without
+such a bound, a point-evaluation rank (``rank_at_point``) is a
+cross-check, never a verdict.
 """
 
 from __future__ import annotations
@@ -420,9 +426,6 @@ class _GridMat:
         i, j = ij
         return self.entries[i][j]
 
-    def copy(self):
-        return type(self)(self.rows, self.cols, self.entries)
-
     def transpose(self):
         return type(self)(
             self.cols, self.rows,
@@ -568,11 +571,6 @@ class PolyMat(_GridMat):
         return [[row[j].coeffs[k] if k < len(row[j].coeffs) else Fraction(0)
                  for j in range(self.cols)] for row in self.entries]
 
-    def scale_rat(self, c):
-        c = Poly.const(c)
-        return PolyMat(self.rows, self.cols,
-                       [[c * x for x in row] for row in self.entries])
-
     def to_ratfun(self):
         return RatFunMat(self.rows, self.cols,
                          [[RatFun(x) for x in row] for row in self.entries])
@@ -648,71 +646,19 @@ class RatFunMat(_GridMat):
     def det(self) -> RatFun:
         if self.rows != self.cols:
             raise ShapeError("det of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return RF_ONE
-        a = [row[:] for row in self.entries]
-        sign = 1
-        out = RF_ONE
-        for c in range(n):
-            p = next((i for i in range(c, n) if a[i][c]), None)
-            if p is None:
-                return RF_ZERO
-            if p != c:
-                a[c], a[p] = a[p], a[c]
-                sign = -sign
-            piv = a[c][c]
-            out = out * piv
-            inv = piv.inverse()
-            for i in range(c + 1, n):
-                if a[i][c]:
-                    f = a[i][c] * inv
-                    a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-        return -out if sign < 0 else out
+        return _as_ratfun(ratmat.det(self.entries))
 
     def inverse(self) -> "RatFunMat":
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
-        n = self.rows
-        a = [row[:] + ident_row for row, ident_row in
-             zip(self.entries, RatFunMat.identity(n).entries)]
-        r = 0
-        for c in range(n):
-            p = next((i for i in range(r, n) if a[i][c]), None)
-            if p is None:
-                raise ratmat.SingularMatrixError("rational matrix is singular")
-            a[r], a[p] = a[p], a[r]
-            inv = a[r][c].inverse()
-            a[r] = [x * inv for x in a[r]]
-            for i in range(n):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            r += 1
-        return RatFunMat(n, n, [row[n:] for row in a])
+        return RatFunMat(self.rows, self.rows, ratmat.inv(self.entries))
 
 
 def normal_rank(m) -> int:
     """Rank over the rational-function field, computed exactly."""
     if isinstance(m, PolyMat):
         m = m.to_ratfun()
-    a = [row[:] for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        inv = a[r][c].inverse()
-        for i in range(r + 1, nrows):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return ratmat.rank(m.entries, cols=m.cols)
 
 
 def rank_at_point(m, x: Fraction) -> int:

@@ -1,7 +1,11 @@
-"""Exact linear algebra over the rationals on plain list-of-list matrices.
+"""Exact linear algebra on plain list-of-list matrices.
 
-Matrices are sequences of rows, every entry a ``fractions.Fraction``.
-Functions return fresh lists and never mutate their arguments.  Empty
+Matrices are sequences of rows.  Entries are ``fractions.Fraction`` or
+elements of any other exact field that supports ``+ - * /`` and tests
+nonzero by truthiness, such as ``polymat.RatFun``; this module holds the
+package's one Gaussian elimination (``rref``, ``det``), used over Q and
+over Q(s).  Functions return fresh lists and never mutate their
+arguments.  Empty
 matrices (zero rows or zero columns) are legal everywhere; a matrix with
 zero rows must still carry its column count explicitly where it matters,
 hence the ``cols`` arguments on a few functions.
@@ -15,11 +19,6 @@ Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def mat(rows):
-    """Copy a matrix, coercing every entry to Fraction."""
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def shape(m):
@@ -88,12 +87,6 @@ def is_zero(m):
     return all(x == 0 for row in m for x in row)
 
 
-def eq(a, b):
-    return shape(a) == shape(b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
-
-
 def rref(m, cols=None):
     """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
     a = [row[:] for row in m]
@@ -102,14 +95,14 @@ def rref(m, cols=None):
     pivots = []
     r = 0
     for c in range(ncols):
-        p = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        p = next((i for i in range(r, nrows) if a[i][c]), None)
         if p is None:
             continue
         a[r], a[p] = a[p], a[r]
         inv = ONE / a[r][c]
         a[r] = [x * inv for x in a[r]]
         for i in range(nrows):
-            if i != r and a[i][c] != 0:
+            if i != r and a[i][c]:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
@@ -165,7 +158,7 @@ def det(m):
     sign = ONE
     out = ONE
     for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c] != 0), None)
+        p = next((i for i in range(c, n) if a[i][c]), None)
         if p is None:
             return ZERO
         if p != c:
@@ -174,7 +167,7 @@ def det(m):
         piv = a[c][c]
         out *= piv
         for i in range(c + 1, n):
-            if a[i][c] != 0:
+            if a[i][c]:
                 f = a[i][c] / piv
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return out * sign
@@ -184,20 +177,19 @@ class SingularMatrixError(ArithmeticError):
     pass
 
 
-def inv(m):
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("inv: matrix not square")
-    aug = [row[:] + idr for row, idr in zip(m, identity(n))]
-    r, pivots = rref(aug)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
+def solve(a, b):
+    """Solve a @ x = b for square invertible a and a matrix b."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("solve: matrix not square")
+    r, pivots = rref([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return [row[n:] for row in r]
 
 
-def solve(a, b):
-    """Solve a @ x = b for square invertible a; b may be a matrix."""
-    return matmul(inv(a), b)
+def inv(m):
+    return solve(m, identity(len(m)))
 
 
 def to_float(m):

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from fractions import Fraction
-
 from . import ratmat
-from .model import NdsDefinition, NotRegular, NotWellPosed, SCMatrix, check_nds_regular, check_well_posed
-from .polymat import Poly, RatFun, RatFunMat, PolyMat, ShapeError
+from .model import (
+    NdsDefinition, NotRegular, NotWellPosed, SCMatrix, check_nds_regular,
+    check_well_posed, descriptor_tfm, lifted_realization,
+)
+from .polymat import RatFunMat, ShapeError
 
 
 class NotReconstructible(ArithmeticError):
@@ -102,23 +103,8 @@ def lump_descriptor(nds: NdsDefinition, phi: SCMatrix) -> LumpedModel:
     phi.check_shape(nds)
     if not check_nds_regular(nds, phi):
         raise NotRegular("NDS is not regular at the given SCM")
-    m_x, m_z = nds.m_x, nds.m_z
-    phi_m = phi.as_lists()
-    e = ratmat.vstack(
-        ratmat.hstack(nds.block("E"), ratmat.zeros(m_x, m_z)),
-        ratmat.zeros(m_z, m_x + m_z))
-    a = ratmat.vstack(
-        ratmat.hstack(nds.block("A_xx"),
-                      ratmat.matmul(nds.block("B_xv"), phi_m)),
-        ratmat.hstack(nds.block("C_zx"),
-                      ratmat.sub(ratmat.matmul(nds.block("D_zv"), phi_m),
-                                 ratmat.identity(m_z))))
-    b = ratmat.vstack(nds.block("B_xu"), nds.block("D_zu"))
-    c = ratmat.hstack(nds.block("C_yx"),
-                      ratmat.matmul(nds.block("D_yv"), phi_m))
-    return LumpedModel(E_hat=ratmat.freeze(e), A_hat=ratmat.freeze(a),
-                       B_hat=ratmat.freeze(b), C_hat=ratmat.freeze(c),
-                       D_hat=ratmat.freeze(nds.block("D_yu")))
+    return LumpedModel(*(ratmat.freeze(m)
+                         for m in lifted_realization(nds, phi)))
 
 
 def _k_matrix(sub) -> list:
@@ -200,52 +186,9 @@ def check_consistency(nds: NdsDefinition,
 
 
 def lumped_tfm(model: LumpedModel) -> RatFunMat:
-    """Exact transfer matrix C (sE - A)^-1 B + D of a lumped model.
-
-    Uses the Leverrier resolvent recursion when E is invertible (cheap,
-    all constant-matrix arithmetic); otherwise inverts the pencil over
-    the rational-function field, which only needs det(sE - A) != 0.
-    """
-    e = ratmat.thaw(model.E_hat)
-    a = ratmat.thaw(model.A_hat)
-    b = ratmat.thaw(model.B_hat)
-    c = ratmat.thaw(model.C_hat)
-    d = ratmat.thaw(model.D_hat)
-    n = len(e)
-    if ratmat.det(e) != 0:
-        e_inv = ratmat.inv(e)
-        m = ratmat.matmul(e_inv, a)
-        t = ratmat.identity(n)
-        char = [Fraction(1)]
-        adj_mats = [t]
-        for k in range(1, n + 1):
-            s_k = ratmat.matmul(m, t)
-            c_k = -sum(s_k[i][i] for i in range(n)) / k
-            char.append(c_k)
-            t = ratmat.add(s_k, ratmat.scale(ratmat.identity(n), c_k))
-            if k < n:
-                adj_mats.append(t)
-        den = Poly(list(reversed(char)))
-        eb = ratmat.matmul(e_inv, b)
-        layers = [ratmat.matmul(ratmat.matmul(c, tk), eb) for tk in adj_mats]
-        m_y = len(c)
-        m_u = len(b[0]) if b else 0
-        entries = []
-        for i in range(m_y):
-            row = []
-            for j in range(m_u):
-                # numerator sum_k s^{n-1-k} (C T_k E^-1 B)_{ij}
-                coeffs = [layers[n - 1 - p][i][j] for p in range(n)]
-                row.append(RatFun(Poly(coeffs), den) + RatFun(Poly.const(d[i][j])))
-            entries.append(row)
-        return RatFunMat(m_y, m_u, entries)
-    pencil = PolyMat(n, n, [
-        [Poly((-a[i][j], e[i][j])) for j in range(n)] for i in range(n)])
-    if pencil.det().is_zero:
-        raise NotRegular("lumped pencil sE - A is singular for every s")
-    p_inv = pencil.to_ratfun().inverse()
-    return (RatFunMat.from_scalars(c) @ p_inv @ RatFunMat.from_scalars(b)) \
-        + RatFunMat.from_scalars(d)
+    """Exact transfer matrix C (sE - A)^-1 B + D of a lumped model."""
+    return descriptor_tfm(*(ratmat.thaw(m) for m in (
+        model.E_hat, model.A_hat, model.B_hat, model.C_hat, model.D_hat)))
 
 
 def recover_scm(nds: NdsDefinition, model: LumpedModel) -> SCMatrix:

@@ -1,8 +1,8 @@
 """Numerical study engine: simulation, distances, margins, tau sweep.
 
 This is the only floating-point corner of the package.  Exact rational
-results (transfer matrices, SCMs, regions) are computed symbolically
-first and converted to doubles at the last step, so that pairs with
+results (transfer matrices, SCMs, regions) are computed first and
+converted to doubles at the last step, so that pairs with
 identical transfer matrices produce a frequency-domain distance of
 exactly zero and skip decisions never rest on round-off alone.
 """
@@ -23,7 +23,7 @@ from .model import (
     check_well_posed, nds_tfm,
 )
 from .polymat import RatFunMat, ShapeError
-from .reconstruction import lump, lumped_tfm
+from .reconstruction import lump
 
 STABILITY_TOL = 1e-10
 # repeated real eigenvalues come back from LAPACK with imaginary noise of
@@ -300,11 +300,7 @@ def distance_time(y1: Trajectory, y2: Trajectory) -> float:
 
 
 def exact_tfm(nds: NdsDefinition, phi: SCMatrix) -> RatFunMat:
-    """Exact external transfer matrix, cheapest available route."""
-    if check_well_posed(nds, phi):
-        model = lump(nds, phi)
-        if ratmat.det(ratmat.thaw(model.E_hat)) != 0:
-            return lumped_tfm(model)
+    """Exact external transfer matrix; the same route as ``nds_tfm``."""
     return nds_tfm(nds, phi)
 
 

@@ -1,4 +1,4 @@
-"""Shared generators for seeded random test instances."""
+"""Shared generators for seeded random test instances, and exact oracles."""
 
 from __future__ import annotations
 
@@ -8,10 +8,10 @@ from fractions import Fraction
 import ndscope.ratmat as rm
 from ndscope.identifiability import classify_case
 from ndscope.model import (
-    NdsDefinition, SCMatrix, SubsystemRealization, check_nds_regular,
-    check_subsystem_regular, check_well_posed,
+    NdsDefinition, NotRegular, SCMatrix, SubsystemRealization, SubsystemTfms,
+    check_nds_regular, check_subsystem_regular, check_well_posed,
 )
-from ndscope.polymat import Poly, PolyMat
+from ndscope.polymat import Poly, PolyMat, RatFun, RatFunMat
 from ndscope.reconstruction import check_reconstructible
 
 
@@ -42,7 +42,6 @@ def rand_ratfunmat(rng, rows, cols, num_deg=2, den_deg=2):
     A shared denominator keeps the cleared-polynomial degree bounded so
     exact Smith reductions stay quick in the property suites.
     """
-    from ndscope.polymat import RatFun, RatFunMat
     den = rand_poly(rng, den_deg - 1) + Poly([0] * den_deg + [1])
     return RatFunMat(rows, cols, [
         [RatFun(rand_poly(rng, num_deg), den) for _ in range(cols)]
@@ -151,3 +150,48 @@ def rand_wellposed_scm(rng, nds) -> SCMatrix:
         if check_well_posed(nds, phi) and check_nds_regular(nds, phi):
             return phi
     raise RuntimeError("could not draw a well-posed SCM")
+
+
+# ---------------------------------------------------------------- oracles
+# Transfer matrices computed over Q(s) by matrix inversion, independent of
+# the point-evaluation route in ndscope.model.
+
+
+def const_ratfunmat(m, rows, cols) -> RatFunMat:
+    return RatFunMat(rows, cols, [[RatFun.const(x) for x in row] for row in m])
+
+
+def pencil_inverse_tfm(e, a, b, c, d) -> RatFunMat:
+    """C (sE - A)^-1 B + D with the pencil inverted over Q(s)."""
+    n = len(e)
+    m_y, m_u = len(c), len(b[0])
+    pencil = PolyMat(n, n, [[Poly((-a[i][j], e[i][j])) for j in range(n)]
+                            for i in range(n)]).to_ratfun()
+    if pencil.det().is_zero:
+        raise NotRegular("pencil sE - A is singular for every s")
+    return const_ratfunmat(c, m_y, n) @ pencil.inverse() @ \
+        const_ratfunmat(b, n, m_u) + const_ratfunmat(d, m_y, m_u)
+
+
+def pencil_inverse_subsystem_tfms(sub) -> SubsystemTfms:
+    """The four subsystem transfer matrices by pencil inversion."""
+    def tfm(c, b, d):
+        return pencil_inverse_tfm(sub.E, sub.A_xx, b, c, d)
+    return SubsystemTfms(G_yu=tfm(sub.C_yx, sub.B_xu, sub.D_yu),
+                         G_yv=tfm(sub.C_yx, sub.B_xv, sub.D_yv),
+                         G_zu=tfm(sub.C_zx, sub.B_xu, sub.D_zu),
+                         G_zv=tfm(sub.C_zx, sub.B_xv, sub.D_zv))
+
+
+def feedback_tfm(nds, phi) -> RatFunMat:
+    """H = G_yu + G_yv (I - Phi G_zv)^-1 Phi G_zu over Q(s)."""
+    per = [pencil_inverse_subsystem_tfms(s) for s in nds.subsystems]
+
+    def block(name):
+        return RatFunMat.block_diag([getattr(t, name) for t in per])
+    phi_r = const_ratfunmat(phi.entries, nds.m_v, nds.m_z)
+    w = RatFunMat.identity(nds.m_v) - (phi_r @ block("G_zv"))
+    if w.det().is_zero:
+        raise NotRegular("I - Phi G_zv is singular as a rational matrix")
+    return block("G_yu") + (block("G_yv") @ w.inverse() @ phi_r @
+                            block("G_zu"))

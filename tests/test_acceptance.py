@@ -19,8 +19,8 @@ import pytest
 
 import ndscope.ratmat as rm
 from helpers import (
-    rand_nds, rand_polymat, rand_ratfunmat, rand_reconstructible_nds,
-    rand_unimodular, rand_wellposed_scm,
+    feedback_tfm, pencil_inverse_tfm, rand_nds, rand_polymat, rand_ratfunmat,
+    rand_reconstructible_nds, rand_unimodular, rand_wellposed_scm,
 )
 from ndscope.fixtures import (
     PHI0, PHI_DIFF, PHI_EQUIV, SWEEP_DIRECTIONS, demo_nds,
@@ -348,8 +348,11 @@ def test_criterion_9_property_suites():
         for sub in inst.subsystems:
             det_xx = det_xx * sub.pencil().det()
         assert RatFun(pencil.det()) == RatFun(det_xx) * w.det()
-        h = nds_tfm(inst, phi, tfms)
-        assert tfm_equal(h, lumped_tfm(lifted))
+        h = nds_tfm(inst, phi)
+        assert tfm_equal(h, feedback_tfm(inst, phi))
+        assert tfm_equal(h, pencil_inverse_tfm(
+            lifted.E_hat, lifted.A_hat, lifted.B_hat, lifted.C_hat,
+            lifted.D_hat))
         assert tfm_equal(h, lumped_tfm(lump(inst, phi)))
         done += 1
 

@@ -79,6 +79,20 @@ class TestCheckIdentifiability:
             schema)
         assert code == 2 and not doc["ok"]
 
+    @pytest.mark.parametrize("value", [5, None, [1]])
+    @pytest.mark.parametrize("key", [
+        "E", "A_xx", "B_xv", "B_xu", "C_zx", "C_yx",
+        "D_zv", "D_zu", "D_yv", "D_yu"])
+    def test_non_matrix_field_exit_2(self, tmp_path, schema, key, value):
+        doc = demo_model_json()
+        doc["subsystems"][0][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, doc = run_json(
+            ["check-identifiability", str(bad), "--scm", PHI0_INLINE],
+            schema)
+        assert code == 2 and "SchemaError" in doc["error"]
+
     def test_known_entries_constraints(self, model_path, tmp_path, schema):
         cpath = tmp_path / "constraints.json"
         cpath.write_text(json.dumps(

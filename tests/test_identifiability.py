@@ -289,7 +289,8 @@ class TestA2PencilStructure:
         from ndscope.model import NdsDefinition
         for sub in nds.subsystems:
             one = NdsDefinition(subsystems=(sub,))
-            blk = _build_pencil(one, hat=False, case=classify_case(one))
+            blk = _build_pencil([subsystem_tfms(sub)], hat=False,
+                                case=classify_case(one))
             nv = sub.n_v
             assert pencil.X.submatrix(range(r0, r0 + nv),
                                       range(c0, c0 + nv)) == blk.X
@@ -357,13 +358,13 @@ class TestMfdInvariance:
                 continue
             base = stacked_u2(build_xy_pencil_hat(nds), phi)
             case = classify_case(nds)
+            tfms = [subsystem_tfms(sub) for sub in nds.subsystems]
             twists = []
-            for sub in nds.subsystems:
-                t = subsystem_tfms(sub)
+            for sub, t in zip(nds.subsystems, tfms):
                 r_hat = sub.n_v - normal_rank(t.G_yv)
                 twists.append((rand_unimodular(rng, sub.n_v),
                                rand_unimodular(rng, r_hat)))
-            st = stacked_u2(_build_pencil(nds, hat=True, case=case,
+            st = stacked_u2(_build_pencil(tfms, hat=True, case=case,
                                           twists=twists), phi)
             assert st.null_basis() == base.null_basis()
             assert st.is_fcr() == base.is_fcr()

@@ -5,13 +5,17 @@ from fractions import Fraction as F
 import pytest
 
 import ndscope.ratmat as rm
-from helpers import rand_nds, rand_subsystem, rand_wellposed_scm
+from helpers import (
+    feedback_tfm, pencil_inverse_subsystem_tfms, pencil_inverse_tfm, rand_nds,
+    rand_scm, rand_subsystem, rand_wellposed_scm,
+)
 from ndscope.fixtures import PHI0, PHI_DIFF, PHI_EQUIV, demo_model_json, demo_nds
 from ndscope.model import (
     DimensionError, NotRegular, SCMatrix, SchemaError, SubsystemRealization,
     assemble_block_tfms, check_nds_regular, check_subsystem_regular,
-    check_well_posed, nds_tfm, parse_model, parse_rat, subsystem_tfms,
-    tfm_equal, transpose_nds,
+    check_well_posed, descriptor_tfm, lifted_realization, nds_tfm,
+    parse_model, parse_rat, pencil_is_regular, subsystem_tfms, tfm_equal,
+    transpose_nds,
 )
 from ndscope.polymat import (
     Poly, PolyMat, RatFun, RatFunMat, ShapeError, normal_rank,
@@ -179,6 +183,84 @@ class TestRegularityWellPosedness:
         assert rm.det(m) == 1
 
 
+class TestDescriptorRoute:
+    """The bounded point test and point-evaluation TFM against Q(s) oracles."""
+
+    def test_regular_with_roots_at_first_points(self):
+        # det(sI - diag(0, 1, 2)) vanishes at the first rank E = 3 points
+        # s = 0, 1, 2; only the (rank E + 1)-th point shows regularity
+        e = rm.identity(3)
+        a = [[F(i) if i == j else F(0) for j in range(3)] for i in range(3)]
+        assert pencil_is_regular(e, a)
+        b, c, d = [[F(1)], [F(1)], [F(1)]], [[F(1), F(2), F(3)]], [[F(1)]]
+        assert descriptor_tfm(e, a, b, c, d) == \
+            pencil_inverse_tfm(e, a, b, c, d)
+
+    def test_singular_pencil_with_singular_e(self):
+        # sE - A = (s - 1) [[1, 1], [1, 1]] with rank E = 1
+        e = [[F(1), F(1)], [F(1), F(1)]]
+        assert not pencil_is_regular(e, e)
+        with pytest.raises(NotRegular):
+            descriptor_tfm(e, e, [[F(1)], [F(0)]], [[F(1), F(0)]], [[F(0)]])
+        sub = SubsystemRealization(
+            E=rm.freeze(e), A_xx=rm.freeze(e),
+            B_xv=((F(1),), (F(0),)), B_xu=((F(0),), (F(1),)),
+            C_zx=((F(1), F(0)),), C_yx=((F(0), F(1)),),
+            D_zv=((F(0),),), D_zu=((F(0),),),
+            D_yv=((F(0),),), D_yu=((F(0),),))
+        assert not check_subsystem_regular(sub)
+        nds = type(demo_nds())(subsystems=(sub,))
+        with pytest.raises(NotRegular):
+            check_nds_regular(nds, SCMatrix.zero(1, 1))
+
+    def test_improper_tfm_of_nilpotent_e(self):
+        # (sE - I)^-1 = -[[1, s], [0, 1]] for E = [[0, 1], [0, 0]]
+        e = [[F(0), F(1)], [F(0), F(0)]]
+        h = descriptor_tfm(e, rm.identity(2), [[F(0)], [F(1)]],
+                           [[F(1), F(0)]], [[F(0)]])
+        assert h == RatFunMat(1, 1, [[RatFun(P(0, -1))]])
+
+    def test_regularity_matches_det_oracle_random(self):
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(60):
+            # sparse 0/1/-1 pencils, many of them singular
+            n = rng.randint(1, 4)
+            e, a = ([[F(rng.choice([0, 0, 1, -1])) for _ in range(n)]
+                     for _ in range(n)] for _ in range(2))
+            pencil = PolyMat(n, n, [[P(-a[i][j], e[i][j]) for j in range(n)]
+                                    for i in range(n)])
+            want = not pencil.det().is_zero
+            assert pencil_is_regular(e, a) == want
+            seen.add(want)
+        assert seen == {True, False}
+        for _ in range(10):
+            # singular-E networks at random SCMs: det(I - G_zv Phi) over Q(s)
+            nds = rand_nds(rng, kind=rng.choice(["a2", "a3"]),
+                           allow_singular_e=True)
+            phi = rand_scm(rng, nds)
+            g_zv = RatFunMat.block_diag(
+                [pencil_inverse_subsystem_tfms(s).G_zv
+                 for s in nds.subsystems])
+            w = RatFunMat.identity(nds.m_z) - \
+                (g_zv @ RatFunMat.from_scalars(phi.as_lists()))
+            assert check_nds_regular(nds, phi) == (not w.det().is_zero)
+
+    def test_irregular_interconnection(self):
+        # C_zx = 0 and D_zv = 1 make I - G_zv Phi = 1 - Phi, zero at Phi = 1
+        sub = SubsystemRealization(
+            E=((F(1),),), A_xx=((F(-1),),),
+            B_xv=((F(1),),), B_xu=((F(1),),),
+            C_zx=((F(0),),), C_yx=((F(1),),),
+            D_zv=((F(1),),), D_zu=((F(0),),),
+            D_yv=((F(0),),), D_yu=((F(0),),))
+        nds = type(demo_nds())(subsystems=(sub,))
+        assert check_nds_regular(nds, SCMatrix.from_rows([["1/2"]]))
+        assert not check_nds_regular(nds, SCMatrix.from_rows([["1"]]))
+        with pytest.raises(NotRegular):
+            nds_tfm(nds, SCMatrix.from_rows([["1"]]))
+
+
 class TestNdsTfm:
     def test_zero_scm_gives_g_yu(self):
         nds = demo_nds()
@@ -198,8 +280,9 @@ class TestNdsTfm:
             tfm_equal(h0, RatFunMat.zeros(1, 1))
 
     def test_tfm_via_lifted_pencil_random(self):
-        # Eq-(8)-style formula equals the lifted-pencil transfer matrix,
-        # including singular-E subsystems
+        # the point-evaluation route on the lifted and the lumped
+        # realizations equals the Eq-(8)-style feedback formula and the
+        # Q(s) pencil inverse, including singular-E subsystems
         rng = random.Random(9)
         done = 0
         while done < 15:
@@ -210,10 +293,13 @@ class TestNdsTfm:
             except RuntimeError:
                 continue
             h = nds_tfm(nds, phi)
-            h_lift = lumped_tfm(lump_descriptor(nds, phi))
-            assert tfm_equal(h, h_lift)
-            h_lump = lumped_tfm(lump(nds, phi))
-            assert tfm_equal(h, h_lump)
+            assert tfm_equal(h, feedback_tfm(nds, phi))
+            assert tfm_equal(
+                h, pencil_inverse_tfm(*lifted_realization(nds, phi)))
+            assert tfm_equal(h, lumped_tfm(lump(nds, phi)))
+            for sub in nds.subsystems:
+                assert subsystem_tfms(sub) == \
+                    pencil_inverse_subsystem_tfms(sub)
             done += 1
 
     def test_determinant_factorization_random(self):

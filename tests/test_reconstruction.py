@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 import ndscope.ratmat as rm
-from helpers import rand_reconstructible_nds, rand_wellposed_scm
+from helpers import feedback_tfm, rand_reconstructible_nds, rand_wellposed_scm
 from ndscope.fixtures import PHI0, PHI_DIFF, PHI_EQUIV, demo_nds
 from ndscope.model import (
-    NdsDefinition, NotWellPosed, SCMatrix, SubsystemRealization, nds_tfm,
-    tfm_equal,
+    NdsDefinition, NotWellPosed, SCMatrix, SubsystemRealization, tfm_equal,
 )
 from ndscope.polymat import ShapeError
 from ndscope.reconstruction import (
@@ -64,7 +63,8 @@ class TestLump:
     def test_lump_tfm_matches_interconnection(self):
         nds = demo_nds()
         for phi in (PHI0, PHI_EQUIV, PHI_DIFF):
-            assert tfm_equal(lumped_tfm(lump(nds, phi)), nds_tfm(nds, phi))
+            assert tfm_equal(lumped_tfm(lump(nds, phi)),
+                             feedback_tfm(nds, phi))
 
     def test_not_well_posed_rejected(self):
         nds = demo_nds()
