@@ -38,7 +38,8 @@ from .reconstruction import (
 from .sim import (
     DistanceMetrics, SimConfig, StabilityMargins, Trajectory,
     choose_sampling, distance_freq, distance_scm, distance_time, eig, expm,
-    prbs, relative_error, simulate, stability_margins, stm, svd, tau_sweep,
+    freq_response, prbs, relative_error, sigma_max, simulate,
+    stability_margins, stm, svd, tau_sweep,
 )
 
 __version__ = "0.1.0"

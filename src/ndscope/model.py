@@ -63,6 +63,14 @@ def parse_rat(x) -> Fraction:
     raise SchemaError(f"bad rational entry {x!r}")
 
 
+def _rows(x, what):
+    """x itself if it is a list of rows (lists), else SchemaError."""
+    if not isinstance(x, (list, tuple)) or \
+            any(not isinstance(r, (list, tuple)) for r in x):
+        raise SchemaError(f"{what} must be a list of rows")
+    return x
+
+
 def _parse_matrix(raw, rows, cols, name):
     if rows == 0:
         if raw != []:
@@ -223,8 +231,9 @@ class SCMatrix:
             raise DimensionError("ragged SCM")
 
     @classmethod
-    def from_rows(cls, rows):
-        return cls(tuple(tuple(parse_rat(x) for x in r) for r in rows))
+    def from_rows(cls, rows, what="an SCM"):
+        return cls(tuple(tuple(parse_rat(x) for x in r)
+                         for r in _rows(rows, what)))
 
     @classmethod
     def zero(cls, rows, cols):
@@ -338,11 +347,7 @@ def parse_model(text):
                 f"subsystem {k + 1} is missing {', '.join(missing)}")
         # types first: the dimensions below index into these lists
         for key in _SUB_KEYS:
-            m = raw[key]
-            if not isinstance(m, list) or \
-                    any(not isinstance(r, list) for r in m):
-                raise SchemaError(
-                    f"subsystem {k + 1}.{key} must be a list of rows")
+            _rows(raw[key], f"subsystem {k + 1}.{key}")
         n_x = len(raw["E"])
         if n_x == 0:
             raise SchemaError(f"subsystem {k + 1}: E must be a nonempty matrix")
@@ -368,7 +373,7 @@ def parse_model(text):
 
     phi = None
     if "scm" in doc and doc["scm"] is not None:
-        phi = SCMatrix.from_rows(doc["scm"])
+        phi = SCMatrix.from_rows(doc["scm"], "scm")
         phi.check_shape(nds)
 
     constraint = None
@@ -377,16 +382,38 @@ def parse_model(text):
     return nds, phi, constraint
 
 
+def _json_list(x, what):
+    if not isinstance(x, list):
+        raise SchemaError(f"{what} must be a list, got {type(x).__name__}")
+    return x
+
+
+def _json_dict(x, what):
+    if not isinstance(x, dict):
+        raise SchemaError(f"{what} must be an object, got {type(x).__name__}")
+    return x
+
+
+def _index(x, what) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad {what} {x!r}") from exc
+
+
 def parse_constraints(c, nds: NdsDefinition):
     """Parse a constraints object into KnownEntries or AffineConstraint."""
     if not isinstance(c, dict) or len(c) != 1:
         raise SchemaError(
             "constraints must hold exactly one of known_entries/affine")
     if "known_entries" in c:
-        ke = c["known_entries"]
-        j_list = tuple(int(j) for j in ke.get("J", ()))
-        i_map = {int(j): tuple(int(i) for i in rows)
-                 for j, rows in ke.get("I", {}).items()}
+        ke = _json_dict(c["known_entries"], "known_entries")
+        j_list = tuple(_index(j, "column index")
+                       for j in _json_list(ke.get("J", []), "J"))
+        i_map = {_index(j, "column index"):
+                 tuple(_index(i, "row index")
+                       for i in _json_list(rows, f"I[{j!r}]"))
+                 for j, rows in _json_dict(ke.get("I", {}), "I").items()}
         for j in j_list:
             if not 1 <= j <= nds.m_z:
                 raise IndexError(f"column index {j} out of range")
@@ -396,13 +423,18 @@ def parse_constraints(c, nds: NdsDefinition):
                     raise IndexError(f"row index {i} out of range")
         return KnownEntries(J=j_list, I=i_map)
     if "affine" in c:
-        af = c["affine"]
-        base = SCMatrix.from_rows(af["phi0"])
+        af = _json_dict(c["affine"], "affine")
+        if "phi0" not in af:
+            raise SchemaError("affine constraints need phi0")
+        base = SCMatrix.from_rows(af["phi0"], "phi0")
         base.check_shape(nds)
-        dirs = tuple(SCMatrix.from_rows(d) for d in af.get("directions", ()))
+        dirs = tuple(SCMatrix.from_rows(d, "a direction")
+                     for d in _json_list(af.get("directions", []),
+                                         "directions"))
         for d in dirs:
             d.check_shape(nds)
-        theta = tuple(parse_rat(t) for t in af.get("theta", ()))
+        theta = tuple(parse_rat(t)
+                      for t in _json_list(af.get("theta", []), "theta"))
         return AffineConstraint(base=base, directions=dirs, theta=theta)
     raise SchemaError("unknown constraint kind")
 

@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
 import ndscope.ratmat as rm
+from ndscope import sim
 from ndscope.identifiability import classify_case
 from ndscope.model import (
     NdsDefinition, NotRegular, SCMatrix, SubsystemRealization, SubsystemTfms,
@@ -195,3 +198,45 @@ def feedback_tfm(nds, phi) -> RatFunMat:
         raise NotRegular("I - Phi G_zv is singular as a rational matrix")
     return block("G_yu") + (block("G_yv") @ w.inverse() @ phi_r @
                             block("G_zu"))
+
+
+# ------------------------------------------------- simulation oracles
+# The sample-by-sample forms that ndscope.sim replaces with block and
+# lane vectorized kernels.
+
+
+def loop_simulate(nds, phi, u, config):
+    """(x, y) of the ZOH recursion x[k+1] = A_d x[k] + B_d u[k], one
+    sample at a time."""
+    a, b, c, d = sim._lumped_float(nds, phi)
+    u = np.asarray(u, dtype=float).reshape(config.M, b.shape[1])
+    if nds.time_domain == "continuous":
+        a_d, b_d = sim.zoh_discretize(a, b, config.T)
+    else:
+        a_d, b_d = a, b
+    x = np.zeros((config.M, a.shape[0]))
+    if config.x0 is not None:
+        x[0] = np.asarray(config.x0, dtype=float)
+    for k in range(config.M - 1):
+        x[k + 1] = a_d @ x[k] + b_d @ u[k]
+    return x, x @ c.T + u @ d.T
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def xorshift_prbs(seed, m, channels, amplitude=10.0):
+    """PRBS from one xorshift64* generator per channel, stepped in Python."""
+    out = np.empty((m, channels), dtype=float)
+    for j in range(channels):
+        state = (seed * 0x9E3779B97F4A7C15 + (j + 1) * 0xBF58476D1CE4E5B9
+                 + 0x632BE59BD9B4E019) & _MASK64
+        if state == 0:
+            state = 0x9E3779B97F4A7C15
+        for k in range(m):
+            state ^= state >> 12
+            state = (state ^ (state << 25)) & _MASK64
+            state ^= state >> 27
+            bit = ((state * 0x2545F4914F6CDD1D) & _MASK64) >> 63
+            out[k, j] = amplitude if bit else -amplitude
+    return out

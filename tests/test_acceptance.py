@@ -167,8 +167,7 @@ def test_criterion_7_sweep_properties():
     budget = 1800.0 if os.environ.get("NDSCOPE_FULL_SWEEP") else 180.0
     ok_lin = ok_peak = ok_skip = True
     for k, direction in enumerate(SWEEP_DIRECTIONS, start=1):
-        rows = tau_sweep(nds, PHI0, direction, taus,
-                         SimConfig(T=1.0, M=1, seed=0), region=region)
+        rows = tau_sweep(nds, PHI0, direction, taus, region=region, seed=0)
         # (a) d_S is linear in tau
         base = next((r for r in rows if not r.skipped and r.tau != 0), None)
         for r in rows:

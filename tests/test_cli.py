@@ -93,6 +93,46 @@ class TestCheckIdentifiability:
             schema)
         assert code == 2 and "SchemaError" in doc["error"]
 
+    @pytest.mark.parametrize("value", [5, [5], ["12"], {"a": [1]}],
+                             ids=["number", "flat", "string-row", "object"])
+    def test_non_matrix_scm_exit_2(self, model_path, tmp_path, schema,
+                                   value):
+        doc = demo_model_json()
+        doc["scm"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, doc = run_json(["check-identifiability", str(bad)], schema)
+        assert code == 2 and "SchemaError" in doc["error"]
+        scm = tmp_path / "scm.json"
+        scm.write_text(json.dumps(value))
+        code, doc = run_json(
+            ["check-identifiability", model_path, "--scm", str(scm)], schema)
+        assert code == 2 and "SchemaError" in doc["error"]
+
+    @pytest.mark.parametrize("constraints", [
+        {"known_entries": 5},
+        {"known_entries": {"J": 1}},
+        {"known_entries": {"J": [[1]]}},
+        {"known_entries": {"J": [1], "I": {"1": 3}}},
+        {"known_entries": {"J": [1], "I": [3]}},
+        {"affine": 5},
+        {"affine": {"phi0": 5}},
+        {"affine": {"phi0": [1, 2, 3, 4]}},
+        {"affine": {"phi0": [["0", "0"]] * 4, "directions": 5}},
+        {"affine": {"phi0": [["0", "0"]] * 4, "theta": 5}},
+        {"affine": {"directions": []}},
+    ], ids=["ke-number", "J-number", "J-nested", "I-number-rows", "I-list",
+            "affine-number", "phi0-number", "phi0-flat", "directions-number",
+            "theta-number", "no-phi0"])
+    def test_malformed_constraints_exit_2(self, model_path, tmp_path, schema,
+                                          constraints):
+        cpath = tmp_path / "constraints.json"
+        cpath.write_text(json.dumps(constraints))
+        code, doc = run_json(
+            ["check-identifiability", model_path, "--scm", PHI0_INLINE,
+             "--constraints", str(cpath)], schema)
+        assert code == 2 and "SchemaError" in doc["error"]
+
     def test_known_entries_constraints(self, model_path, tmp_path, schema):
         cpath = tmp_path / "constraints.json"
         cpath.write_text(json.dumps(
@@ -259,6 +299,21 @@ class TestSimulateCmd:
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b
 
+    def test_too_many_samples_exit_3(self, model_path, schema):
+        # tau = 1.095 along the first bundled direction is stable, but the
+        # sampling rule asks for about 3.2e6 samples
+        from fractions import Fraction
+        from ndscope.fixtures import PHI0, SWEEP_DIRECTIONS
+        tau = Fraction(219, 200)
+        near_graze = ";".join(
+            ",".join(str(a + tau * (b - a)) for a, b in zip(ra, rb))
+            for ra, rb in zip(PHI0.entries, SWEEP_DIRECTIONS[0].entries))
+        code, doc = run_json(
+            ["simulate", model_path, "--scm-a", PHI0_INLINE,
+             "--scm-b", near_graze], schema)
+        assert code == 3 and not doc["ok"]
+        assert "samples" in doc["error"]
+
     def test_identical_pair_zero_distance(self, model_path, tmp_path,
                                           schema):
         out = str(tmp_path / "same")
@@ -277,7 +332,7 @@ class TestSweepCmd:
              "--out-dir", out], schema)
         assert code == 0
         lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
-        assert lines[0] == "k,tau,d_T,d_F,d_S,s_mr,s_md,skipped"
+        assert lines[0] == "k,tau,d_T,d_F,d_S,s_mr,s_md,skipped,reason"
         assert len(lines) == 1 + 4 * 5
         for name in ("dT_vs_dF.svg", "dT_vs_tau.svg",
                      "singular_values.svg"):
@@ -331,6 +386,44 @@ class TestSweepCmd:
             ["simulate", model_path, "--scm-a", PHI0_INLINE,
              "--scm-b", unstable, "--out-dir", "/tmp/na"], schema)
         assert code == 2 and not doc["ok"]
+
+    def test_jobs_do_not_change_csv(self, model_path, tmp_path, schema):
+        csv = []
+        for jobs in ("1", "2"):
+            out = str(tmp_path / f"jobs{jobs}")
+            code, _ = run_json(
+                ["sweep", model_path, "--scm0", PHI0_INLINE,
+                 "--directions", "paper", "--tau", "0:1:20",
+                 "--jobs", jobs, "--out-dir", out], schema)
+            assert code == 0
+            csv.append(open(os.path.join(out, "sweep.csv"), "rb").read())
+        assert csv[0] == csv[1]
+        assert len(csv[0].splitlines()) == 1 + 4 * 21
+
+    def test_skip_reason_column(self, model_path, tmp_path, schema):
+        # tau = 1.095 on direction 1 is stable but needs about 3.2e6 samples
+        out = str(tmp_path / "sweepmax")
+        code, _ = run_json(
+            ["sweep", model_path, "--scm0", PHI0_INLINE,
+             "--directions", "paper", "--tau", "1.095:1:1.095",
+             "--out-dir", out], schema)
+        assert code == 0
+        row = open(os.path.join(out, "sweep.csv")).read().splitlines()[1]
+        k, _, d_t, _, _, s_mr, _, skipped, reason = row.split(",")
+        assert (k, d_t, skipped, reason) == ("1", "", "1", "too_many_samples")
+        assert float(s_mr) > 0
+
+    @pytest.mark.parametrize("value", [5, {"a": 1}, [5], [["12"]]],
+                             ids=["number", "object", "flat", "string-row"])
+    def test_malformed_directions_exit_2(self, model_path, tmp_path, schema,
+                                         value):
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(json.dumps(value))
+        code, doc = run_json(
+            ["sweep", model_path, "--scm0", PHI0_INLINE,
+             "--directions", str(dirs), "--tau", "0:1:2",
+             "--out-dir", str(tmp_path / "out")], schema)
+        assert code == 2 and "SchemaError" in doc["error"]
 
     def test_directions_file(self, model_path, tmp_path, schema):
         dirs = tmp_path / "dirs.json"

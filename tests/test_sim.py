@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 import ndscope.ratmat as rm
+import ndscope.sim
+from helpers import loop_simulate, rand_mat, xorshift_prbs
 from ndscope.fixtures import PHI0, PHI_DIFF, PHI_EQUIV, SWEEP_DIRECTIONS, demo_nds
-from ndscope.model import SCMatrix
+from ndscope.model import NdsDefinition, SCMatrix, SubsystemRealization
 from ndscope.polymat import Poly, RatFun, RatFunMat, ShapeError
 from ndscope.sim import (
-    SimConfig, SingularE, Trajectory, Unstable, ZeroSpectrum,
-    choose_sampling, distance_freq, distance_scm, distance_time, eig,
-    exact_tfm, expm, hinf_norm, prbs, relative_error, simulate,
-    stability_margins, stm, svd, tau_sweep,
+    MAX_SAMPLES, SimConfig, SingularE, TooManySamples, Trajectory, Unstable,
+    ZeroSpectrum, choose_sampling, distance_freq, distance_scm,
+    distance_time, eig, exact_tfm, expm, freq_response, hinf_norm, prbs,
+    relative_error, simulate, stability_margins, stm, svd, tau_sweep,
 )
 from ndscope.identifiability import check_identifiable_at, undiff_region
 from ndscope.reconstruction import lump
@@ -139,6 +141,16 @@ class TestSampling:
                                stm(demo_nds(), PHI_DIFF))
         assert 0 < t < 1 and m >= 10_000
 
+    def test_too_many_samples(self):
+        # the rule would ask for 1e11 samples; nothing is allocated
+        with pytest.raises(TooManySamples):
+            choose_sampling(np.diag([-1.0]), np.diag([-1e-9]))
+
+    def test_near_limit_allowed(self):
+        # M = 1e6, the size of the paper's near-graze point tau = 1.09
+        _, m = choose_sampling(np.diag([-1.0]), np.diag([-1e-4]))
+        assert m == 1_000_000 < MAX_SAMPLES
+
 
 class TestPrbs:
     def test_levels(self):
@@ -158,6 +170,18 @@ class TestPrbs:
         u = prbs(0, m, 2, amplitude=10.0)
         bound = 4 * 10.0 / math.sqrt(m)
         assert np.all(np.abs(u.mean(axis=0)) <= bound)
+
+    @pytest.mark.parametrize("seed", [0, 5, -2, 2 ** 70])
+    @pytest.mark.parametrize("m", [1, 2, 99, 100, 101, 1_000, 10_007])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_matches_stepped_streams(self, seed, m, channels):
+        want = xorshift_prbs(seed, m, channels, amplitude=2.5)
+        assert np.array_equal(prbs(seed, m, channels, amplitude=2.5), want)
+
+    def test_prefix_property(self):
+        long = prbs(11, 23_826, 3)
+        for m in (1, 37, 10_000, 23_825):
+            assert np.array_equal(prbs(11, m, 3), long[:m])
 
 
 class TestSimulate:
@@ -241,6 +265,63 @@ class TestSimulate:
         c = np.array(rm.to_float(rm.thaw(lump(nds, PHI0).C_hat)))
         assert np.allclose(tr.y[0], c @ x0)
         assert not np.allclose(tr.y[1], 0.0)
+
+
+BLOCK = ndscope.sim._BLOCK
+
+
+def _small(rng, rows, cols):
+    # entries in [-1/4, 1/4]
+    return tuple(tuple(F(rng.randint(-2, 2), 8) for _ in range(cols))
+                 for _ in range(rows))
+
+
+def _kernel_nds(n_u, domain):
+    """One 3-state subsystem whose lumped A is stable in its domain.
+
+    Entries of A_xx, B_xv, C_zx, D_zv and Phi are at most 1/4, so every
+    row of the lumped A (discrete case) sums to less than 0.8 in absolute
+    value; the continuous case shifts A_xx by -I.
+    """
+    rng = random.Random(40 + n_u)
+    shift = -1 if domain == "continuous" else 0
+    a = tuple(tuple(x + (shift if i == j else 0) for j, x in enumerate(row))
+              for i, row in enumerate(_small(rng, 3, 3)))
+    eye = tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(3))
+    sub = SubsystemRealization(
+        E=eye, A_xx=a, B_xv=_small(rng, 3, 1), B_xu=rand_mat(rng, 3, n_u),
+        C_zx=_small(rng, 1, 3), C_yx=rand_mat(rng, 2, 3),
+        D_zv=_small(rng, 1, 1), D_zu=rand_mat(rng, 1, n_u),
+        D_yv=rand_mat(rng, 2, 1), D_yu=rand_mat(rng, 2, n_u))
+    return NdsDefinition(subsystems=(sub,), time_domain=domain), \
+        SCMatrix(((F(1, 4),),))
+
+
+class TestBlockKernel:
+    """simulate against the sample-by-sample recursion of the oracle."""
+
+    @pytest.mark.parametrize("domain", ["continuous", "discrete"])
+    @pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1, 10_007])
+    @pytest.mark.parametrize("n_u", [1, 3])
+    def test_matches_loop(self, domain, m, n_u):
+        nds, phi = _kernel_nds(n_u, domain)
+        assert stability_margins(stm(nds, phi), domain).stable
+        cfg = SimConfig(T=0.05, M=m, x0=np.array([1.0, -2.0, 0.5]))
+        u = prbs(m + n_u, m, n_u)
+        tr = simulate(nds, phi, u, cfg)
+        x, y = loop_simulate(nds, phi, u, cfg)
+        assert tr.x.shape == x.shape and tr.y.shape == y.shape
+        for got, want in ((tr.x, x), (tr.y, y)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_demo_pair_matches_loop(self):
+        nds = demo_nds()
+        t, m = choose_sampling(stm(nds, PHI0), stm(nds, PHI_DIFF))
+        cfg = SimConfig(T=t, M=m)
+        u = prbs(0, m, nds.m_u)
+        tr = simulate(nds, PHI_DIFF, u, cfg)
+        _, y = loop_simulate(nds, PHI_DIFF, u, cfg)
+        assert np.max(np.abs(tr.y - y)) <= 1e-12 * np.max(np.abs(y))
 
 
 class TestRelativeError:
@@ -330,6 +411,18 @@ class TestDistances:
             ss = c @ np.linalg.solve(1j * w * np.eye(4) - a, b) + d
             assert np.max(np.abs(exact - ss)) <= 1e-8 * (1 + np.abs(ss).max())
 
+    def test_freq_response_matches_state_space(self):
+        nds = demo_nds()
+        model = lump(nds, PHI_DIFF)
+        a, b, c, d = (np.array(rm.to_float(rm.thaw(getattr(model, k))))
+                      for k in ("A_hat", "B_hat", "C_hat", "D_hat"))
+        ws = np.array([0.0, 0.1, 1.0, 10.0, 100.0])
+        resp = freq_response(exact_tfm(nds, PHI_DIFF), 1j * ws)
+        assert resp.shape == (len(ws), nds.m_y, nds.m_u)
+        for w, got in zip(ws, resp):
+            ss = c @ np.linalg.solve(1j * w * np.eye(4) - a, b) + d
+            assert np.max(np.abs(got - ss)) <= 1e-8 * (1 + np.abs(ss).max())
+
 
 class TestDistanceScm:
     def _region(self):
@@ -367,8 +460,7 @@ class TestDistanceScm:
 class TestTauSweep:
     def test_tau_zero_row(self):
         nds = demo_nds()
-        rows = tau_sweep(nds, PHI0, SWEEP_DIRECTIONS[1], [F(0)],
-                         SimConfig(T=1.0, M=1, seed=0))
+        rows = tau_sweep(nds, PHI0, SWEEP_DIRECTIONS[1], [F(0)], seed=0)
         r = rows[0]
         assert not r.skipped
         assert r.d_T == 0.0 and r.d_F == 0.0 and r.d_S == 0.0
@@ -376,15 +468,13 @@ class TestTauSweep:
     def test_skip_bookkeeping_direction_one(self):
         nds = demo_nds()
         taus = [F(k, 10) for k in (10, 11, 12)]
-        rows = tau_sweep(nds, PHI0, SWEEP_DIRECTIONS[0], taus,
-                         SimConfig(T=1.0, M=1, seed=0))
+        rows = tau_sweep(nds, PHI0, SWEEP_DIRECTIONS[0], taus, seed=0)
         assert [r.skipped for r in rows] == [False, True, False]
         assert rows[1].reason == "unstable"
 
     def test_rows_carry_margins_and_sampling(self):
         nds = demo_nds()
-        rows = tau_sweep(nds, PHI0, SWEEP_DIRECTIONS[3], [F(1)],
-                         SimConfig(T=1.0, M=1, seed=0))
+        rows = tau_sweep(nds, PHI0, SWEEP_DIRECTIONS[3], [F(1)], seed=0)
         r = rows[0]
         assert r.margins is not None and r.margins.stable
         assert r.M >= 10_000 and r.T > 0
@@ -392,12 +482,51 @@ class TestTauSweep:
         assert (m.d_T, m.d_F, m.d_S) == (r.d_T, r.d_F, r.d_S)
         assert all(v >= 0.0 for v in (m.d_T, m.d_F, m.d_S))
 
+    def test_tau_zero_after_longer_row(self):
+        # tau = 1.2 draws M = 23,826 samples; tau = 0 then reuses a prefix
+        rows = tau_sweep(demo_nds(), PHI0, SWEEP_DIRECTIONS[0],
+                         [F(12, 10), F(0)], seed=0)
+        assert rows[0].M > rows[1].M == 10_000
+        assert rows[1].d_T == 0.0 and rows[1].d_F == 0.0
+
+    def test_rows_independent_of_grid(self):
+        nds = demo_nds()
+        alone = tau_sweep(nds, PHI0, SWEEP_DIRECTIONS[0], [F(1)], seed=4)
+        after = tau_sweep(nds, PHI0, SWEEP_DIRECTIONS[0], [F(12, 10), F(1)],
+                          seed=4)
+        assert (after[1].d_T, after[1].d_F, after[1].d_S) == \
+            (alone[0].d_T, alone[0].d_F, alone[0].d_S)
+
+    def test_config_supplies_seed_and_amplitude(self):
+        nds = demo_nds()
+        d = SWEEP_DIRECTIONS[3]
+        by_keyword = tau_sweep(nds, PHI0, d, [F(1)], seed=3)[0].d_T
+        assert tau_sweep(nds, PHI0, d, [F(1)],
+                         SimConfig(T=1.0, M=1, seed=3))[0].d_T == by_keyword
+        # the system is linear and starts at rest: d_T scales with amplitude
+        halved = tau_sweep(nds, PHI0, d, [F(1)],
+                           SimConfig(T=1.0, M=1, seed=3, amplitude=5.0))
+        assert halved[0].d_T == pytest.approx(by_keyword / 2, rel=1e-12)
+        with pytest.raises(TypeError):
+            tau_sweep(nds, PHI0, d, [F(1)], SimConfig(T=1.0, M=1), seed=3)
+
+    def test_too_many_samples_skipped(self, monkeypatch):
+        # tau = 1.095 on direction 1 is stable, 0.005 short of the graze,
+        # and the sampling rule asks for about 3.2e6 samples
+        def refuse(*args, **kwargs):
+            raise AssertionError("no signal may be drawn for this row")
+        monkeypatch.setattr(ndscope.sim, "prbs", refuse)
+        monkeypatch.setattr(ndscope.sim, "simulate", refuse)
+        rows = tau_sweep(demo_nds(), PHI0, SWEEP_DIRECTIONS[0],
+                         [F(1095, 1000)], seed=0)
+        assert rows[0].skipped and rows[0].reason == "too_many_samples"
+        assert rows[0].margins.stable
+
     def test_d_t_rises_then_falls(self):
         # the time distance grows for small tau and decays past a peak
         nds = demo_nds()
         taus = [F(0), F(1), F(2), F(3)]
-        rows = tau_sweep(nds, PHI0, SWEEP_DIRECTIONS[0], taus,
-                         SimConfig(T=1.0, M=1, seed=0))
+        rows = tau_sweep(nds, PHI0, SWEEP_DIRECTIONS[0], taus, seed=0)
         d_t = [r.d_T for r in rows]
         assert d_t[1] > d_t[0]
         assert d_t[2] < d_t[1] and d_t[3] < d_t[2]
