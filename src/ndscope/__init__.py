@@ -36,9 +36,9 @@ from .reconstruction import (
     check_reconstructible, lump, lump_descriptor, lumped_tfm, recover_scm,
 )
 from .sim import (
-    DistanceMetrics, SimConfig, StabilityMargins, Trajectory,
+    FloatRealization, SimConfig, StabilityMargins, Trajectory,
     choose_sampling, distance_freq, distance_scm, distance_time, eig, expm,
-    freq_response, prbs, relative_error, sigma_max, simulate,
+    freq_response, prbs, relative_error, screen, sigma_max, simulate,
     stability_margins, stm, svd, tau_sweep,
 )
 

@@ -28,8 +28,8 @@ from .identifiability import (
 )
 from .model import (
     DimensionError, KnownEntries, NotRegular, NotWellPosed, SCMatrix,
-    SchemaError, check_well_posed, nds_tfm, parse_constraints, parse_model,
-    parse_rat, tfm_equal,
+    SchemaError, nds_tfm, parse_constraints, parse_model, parse_rat,
+    tfm_equal,
 )
 from .polymat import ShapeError
 from .reconstruction import (
@@ -38,9 +38,8 @@ from .reconstruction import (
 )
 from .sim import (
     NoConvergence, SimConfig, SingularE, TooManySamples, Unstable,
-    ZeroSpectrum, choose_sampling, distance_freq, distance_time, exact_tfm,
-    freq_response, is_stable, prbs, relative_error, sigma_max, simulate,
-    stability_margins, stm, tau_sweep,
+    ZeroSpectrum, choose_sampling, distance_time, exact_tfm, freq_response,
+    hinf_norm, prbs, relative_error, screen, sigma_max, simulate, tau_sweep,
 )
 
 DEFAULT_SEED = 0
@@ -48,7 +47,7 @@ DEFAULT_SEED = 0
 INPUT_ERRORS = (SchemaError, DimensionError, ShapeError, NotRegular,
                 NotWellPosed, NotReconstructible, Inconsistent, WrongCase,
                 RegionIsTrivial, ZeroDiagonal, ZeroSpectrum, SingularE,
-                Unstable, IndexError, ValueError, OSError, KeyError)
+                Unstable, ValueError, OSError)
 
 
 def frac_str(x) -> str:
@@ -269,18 +268,16 @@ def cmd_lump(args) -> int:
     return 0
 
 
-def _simulate_pair(nds, phi_a, phi_b, seed, amplitude=10.0):
-    a_a = stm(nds, phi_a)
-    a_b = stm(nds, phi_b)
-    for name, a in (("a", a_a), ("b", a_b)):
-        if not is_stable(a, nds.time_domain):
-            raise Unstable(f"system {name} is unstable")
-    t, m = choose_sampling(a_a, a_b)
-    u = prbs(seed, m, nds.m_u, amplitude)
-    cfg = SimConfig(T=t, M=m, seed=seed, amplitude=amplitude)
-    tr_a = simulate(nds, phi_a, u, cfg)
-    tr_b = simulate(nds, phi_b, u, cfg)
-    return t, m, u, tr_a, tr_b
+def _simulate_pair(nds, phi_a, phi_b, seed):
+    """(T, M, u, trajectories, screenings) of two SCMs under one PRBS."""
+    screens = (screen(nds, phi_a), screen(nds, phi_b))
+    real_a, real_b = (s.require(f"system {name}")
+                      for name, s in zip("ab", screens))
+    t, m = choose_sampling(real_a.a, real_b.a)
+    u = prbs(seed, m, nds.m_u)
+    cfg = SimConfig(T=t, M=m, seed=seed)
+    return t, m, u, (simulate(real_a, u, cfg), simulate(real_b, u, cfg)), \
+        screens
 
 
 def cmd_simulate(args) -> int:
@@ -288,18 +285,15 @@ def cmd_simulate(args) -> int:
     phi_a = load_scm(args.scm_a, nds)
     phi_b = load_scm(args.scm_b, nds)
     seed = args.seed if args.seed is not None else default_seed()
-    for phi in (phi_a, phi_b):
-        if not check_well_posed(nds, phi):
-            raise NotWellPosed("both SCMs must be well-posed")
-    t, m, u, tr_a, tr_b = _simulate_pair(nds, phi_a, phi_b, seed)
+    t, m, u, (tr_a, tr_b), screens = _simulate_pair(nds, phi_a, phi_b, seed)
     err = relative_error(tr_a, tr_b)
     with np.errstate(invalid="ignore"):
         max_err = [float(np.nanmax(err[:, j])) if np.any(~np.isnan(err[:, j]))
                    else None for j in range(err.shape[1])]
     d_t = distance_time(tr_a, tr_b)
-    d_f = distance_freq(nds, phi_a, phi_b)
-    margins_a = stability_margins(stm(nds, phi_a), nds.time_domain)
-    margins_b = stability_margins(stm(nds, phi_b), nds.time_domain)
+    # both SCMs passed the checks of distance_freq in the screening
+    d_f = hinf_norm(exact_tfm(nds, phi_a) - exact_tfm(nds, phi_b),
+                    nds.time_domain)
     artifacts = []
     out = args.out_dir or "."
     header = (["t"]
@@ -307,20 +301,15 @@ def cmd_simulate(args) -> int:
               + [f"y_a{j + 1}" for j in range(nds.m_y)]
               + [f"y_b{j + 1}" for j in range(nds.m_y)]
               + [f"e{j + 1}" for j in range(nds.m_y)])
-    rows = []
-    for k in range(m):
-        row = [fmt_float(tr_a.times[k])]
-        row += [fmt_float(v) for v in u[k]]
-        row += [fmt_float(v) for v in tr_a.y[k]]
-        row += [fmt_float(v) for v in tr_b.y[k]]
-        row += [fmt_float(v) for v in err[k]]
-        rows.append(row)
+    table = np.column_stack((tr_a.times, u, tr_a.y, tr_b.y, err))
+    rows = [[fmt_float(v) for v in row] for row in table]
     artifacts.append(write_csv(os.path.join(out, "traces.csv"), header, rows))
     metrics = {
         "T": t, "M": m, "seed": seed,
         "d_T": d_t, "d_F": d_f,
         "max_relative_error": max_err,
-        "margins_a": margins_a.__dict__, "margins_b": margins_b.__dict__,
+        "margins_a": screens[0].margins.__dict__,
+        "margins_b": screens[1].margins.__dict__,
     }
     path = os.path.join(out, "metrics.json")
     atomic_write(path, json.dumps(metrics, indent=2) + "\n")
@@ -349,15 +338,9 @@ def _parse_tau_grid(text: str):
     start, step, stop = (Fraction(p.strip()) for p in parts)
     if step <= 0:
         raise SchemaError("tau step must be positive")
-    taus = []
-    k = 0
-    while True:
-        tau = start + k * step
-        if tau > stop:
-            break
-        taus.append(tau)
-        k += 1
-    return taus
+    # exact rationals: start + k step for every k with the point <= stop
+    return [start + k * step
+            for k in range(max(0, math.floor((stop - start) / step) + 1))]
 
 
 def _sweep_one(packed):
@@ -420,58 +403,45 @@ def cmd_sweep(args) -> int:
                 fmt_float(r.margins.s_md) if r.margins else "",
                 "1" if r.skipped else "0", r.reason or ""])
     artifacts = [write_csv(os.path.join(out, "sweep.csv"), header, csv_rows)]
-    # d_T against d_F, one curve per direction
-    series_tf = []
+    def scaled(kept, factor, margin):
+        return [float("nan") if getattr(r.margins, margin) is None
+                else factor * getattr(r.margins, margin) for r in kept]
+    # per direction: d_T against d_F, d_T and scaled margins against tau,
+    # and the kept row of largest d_F over all directions
+    series_tf, series_tau, best = [], [], None
     for k, rows in enumerate(all_rows, start=1):
         kept = [r for r in rows if not r.skipped]
+        taus_k = [float(r.tau) for r in kept]
         series_tf.append((f"direction {k}",
                           [r.d_F for r in kept], [r.d_T for r in kept]))
+        series_tau += [
+            (f"d_T, direction {k}", taus_k, [r.d_T for r in kept]),
+            (f"0.016 s_mr, direction {k}", taus_k,
+             scaled(kept, 0.016, "s_mr")),
+            (f"0.002 s_md, direction {k}", taus_k,
+             scaled(kept, 0.002, "s_md"))]
+        for r in kept:
+            if best is None or r.d_F > best[1].d_F:
+                best = (k, r)
     artifacts.append(svgplot.line_plot(
         os.path.join(out, "dT_vs_dF.svg"), series_tf,
         title="time distance against frequency distance",
         xlabel="d_F", ylabel="d_T", xlog=True, ylog=True))
-    series_tau = []
-    for k, rows in enumerate(all_rows, start=1):
-        kept = [r for r in rows if not r.skipped]
-        series_tau.append((f"d_T, direction {k}",
-                           [float(r.tau) for r in kept],
-                           [r.d_T for r in kept]))
-        series_tau.append((f"0.016 s_mr, direction {k}",
-                           [float(r.tau) for r in kept],
-                           [0.016 * r.margins.s_mr
-                            if r.margins.s_mr is not None else float("nan")
-                            for r in kept]))
-        series_tau.append((f"0.002 s_md, direction {k}",
-                           [float(r.tau) for r in kept],
-                           [0.002 * r.margins.s_md
-                            if r.margins.s_md is not None else float("nan")
-                            for r in kept]))
     artifacts.append(svgplot.line_plot(
         os.path.join(out, "dT_vs_tau.svg"), series_tau,
         title="time distance and scaled stability margins",
         xlabel="tau", ylabel="d_T and scaled margins", ylog=True))
     # singular values of a representative frequency response difference
-    best = None
-    for k, rows in enumerate(all_rows, start=1):
-        for r in rows:
-            if not r.skipped and r.d_F is not None:
-                if best is None or r.d_F > best[2]:
-                    best = (k, r.tau, r.d_F)
     if best is not None:
-        k, tau, _ = best
-        direction = directions[k - 1]
-        delta = ratmat.sub(direction.as_lists(), phi0.as_lists())
-        phi_t = SCMatrix(ratmat.freeze(ratmat.add(
-            phi0.as_lists(), ratmat.scale(delta, tau))))
-        diff = exact_tfm(nds, phi_t) - exact_tfm(nds, phi0)
+        k, row = best
         omegas = np.logspace(-3, 3, 400)
-        resp = freq_response(diff, 1j * omegas)
+        resp = freq_response(row.tfm_diff, 1j * omegas)
         svals = np.linalg.svd(resp, compute_uv=False)
         series_sv = [(f"sigma_{i + 1}", omegas, svals[:, i])
                      for i in range(svals.shape[1])]
         artifacts.append(svgplot.line_plot(
             os.path.join(out, "singular_values.svg"), series_sv,
-            title=f"singular values, direction {k}, tau={float(tau):g}",
+            title=f"singular values, direction {k}, tau={float(row.tau):g}",
             xlabel="omega", ylabel="singular value", xlog=True, ylog=True))
     n_skip = sum(1 for rows in all_rows for r in rows if r.skipped)
     emit(_report("sweep", {
@@ -514,23 +484,16 @@ def cmd_reproduce_paper(args) -> int:
         got = recover_scm(nds, lump(nds, phi))
         check(f"round trip recovers {name}", got.entries == phi.entries)
 
-    _, _, _, tr0, tru = _simulate_pair(nds, phi0, phi_u, seed)
-    err_u = relative_error(tr0, tru)
-    max_u = float(np.nanmax(err_u))
+    def max_relative_error(phi):
+        _, _, _, trajectories, _ = _simulate_pair(nds, phi0, phi, seed)
+        return float(np.nanmax(relative_error(*trajectories)))
+    max_u, max_i = max_relative_error(phi_u), max_relative_error(phi_i)
     check("max relative error (Phi0, Phi_u) <= 1e-6", max_u <= 1e-6,
           f"max={max_u:.3e}")
-    _, _, _, tr0i, tri = _simulate_pair(nds, phi0, phi_i, seed)
-    err_i = relative_error(tr0i, tri)
-    max_i = float(np.nanmax(err_i))
     check("max relative error (Phi0, Phi_i) >= 10", max_i >= 10.0,
           f"max={max_i:.3e}")
 
-    step = Fraction(1, 10) if args.full else Fraction(1)
-    taus = []
-    t = Fraction(0)
-    while t <= 20:
-        taus.append(t)
-        t += step
+    taus = _parse_tau_grid("0:1/10:20" if args.full else "0:1:20")
     lin_ok = True
     skip_ok = True
     for k, direction in enumerate(fixtures.SWEEP_DIRECTIONS, start=1):
@@ -539,12 +502,10 @@ def cmd_reproduce_paper(args) -> int:
         base = next((r for r in rows if not r.skipped and r.tau == 1), None)
         for r in rows:
             if r.skipped:
-                a = stm(nds, SCMatrix(ratmat.freeze(ratmat.add(
-                    phi0.as_lists(),
-                    ratmat.scale(ratmat.sub(direction.as_lists(),
-                                            phi0.as_lists()), r.tau)))))
-                # a stable row is skipped only past the sample limit
-                skip_ok = skip_ok and is_stable(a, nds.time_domain) == \
+                # a stable row is skipped only past the sample limit; a row
+                # that failed before the stability check has no margins
+                stable = r.margins is not None and r.margins.stable
+                skip_ok = skip_ok and stable == \
                     (r.reason == "too_many_samples")
                 continue
             if base is not None and r.tau != 0:
@@ -589,28 +550,22 @@ def cmd_reproduce_paper(args) -> int:
 
 
 def _spot_value_scan(nds, phi0, direction):
-    """Retained-grid d_F maximum for one direction plus the graze probe."""
+    """Retained-grid d_F maximum for one direction plus the graze probe;
+    a grid point is retained when it passes ``sim.screen``."""
     delta = ratmat.sub(direction.as_lists(), phi0.as_lists())
+    h0 = exact_tfm(nds, phi0)
     best, best_tau = -1.0, None
-    from .model import check_nds_regular
-    for k in range(0, 201):
-        tau = Fraction(k, 10)
+    for tau in _parse_tau_grid("0:1/10:20"):
         phi = SCMatrix(ratmat.freeze(ratmat.add(
             phi0.as_lists(), ratmat.scale(delta, tau))))
-        if not check_nds_regular(nds, phi) or not check_well_posed(nds, phi):
+        if screen(nds, phi).reason is not None:
             continue
-        try:
-            a = stm(nds, phi)
-        except SingularE:
-            continue
-        if not is_stable(a, nds.time_domain):
-            continue
-        d_f = distance_freq(nds, phi, phi0)
+        d_f = hinf_norm(exact_tfm(nds, phi) - h0, nds.time_domain)
         if d_f > best:
             best, best_tau = d_f, tau
     phi_g = SCMatrix(ratmat.freeze(ratmat.add(
         phi0.as_lists(), ratmat.scale(delta, Fraction(111, 100)))))
-    diff = exact_tfm(nds, phi_g) - exact_tfm(nds, phi0)
+    diff = exact_tfm(nds, phi_g) - h0
     sup = float(sigma_max(diff, np.array([0.0 + 0.0j]))[0])
     return {"max_dF_retained": best, "argmax_tau": str(best_tau),
             "sup_sigma_at_1_11": sup}

@@ -15,6 +15,12 @@ The decision pipeline:
    full column rank; otherwise its right null space generates the affine
    region of SCMs indistinguishable from Phi0.
 
+A model with no external input or no external output (m_u = 0 or
+m_y = 0) has an empty external transfer matrix at every SCM, so no SCM
+can be told apart from Phi0.  For such a model every check uses the zero
+matrix in place of the stacked one: nothing constrains the deviation,
+the verdict is not identifiable and the region is the whole SCM space.
+
 The kernel of the stacked matrix equals the set of constant vectors in
 the rational column span of the pencil, so it does not depend on which
 Smith form, MFD or split the algorithm happened to produce.
@@ -28,8 +34,8 @@ from fractions import Fraction
 
 from . import ratmat
 from .model import (
-    NdsDefinition, NotRegular, SCMatrix, SubsystemTfms, check_nds_regular,
-    check_well_posed, nds_tfm, subsystem_tfms, tfm_equal,
+    NdsDefinition, NotRegular, SCMatrix, SchemaError, SubsystemTfms,
+    check_nds_regular, check_well_posed, nds_tfm, subsystem_tfms, tfm_equal,
 )
 from .polymat import (
     NEG_INF, PolyMat, ShapeError, normal_rank, proper_split,
@@ -296,7 +302,7 @@ def check_identifiable_at(nds: NdsDefinition, phi0: SCMatrix) -> IdentReport:
     if case.kind == BOTH_FULL:
         return IdentReport(case=case, verdict=IDENTIFIABLE_BY_BOTH_FULL,
                            warnings=warnings)
-    stacked, transposed = _stacked_for_case(phi0, case, tfms)
+    stacked, transposed = _stacked_for_case(nds, phi0, case, tfms)
     if stacked.is_fcr():
         return IdentReport(case=case, verdict=IDENTIFIABLE, stacked=stacked,
                            transposed=transposed, warnings=warnings)
@@ -355,7 +361,8 @@ def verify_region_by_tfm(nds: NdsDefinition, phi0: SCMatrix,
     return ok
 
 
-def _stacked_for_case(phi0: SCMatrix, case: CaseTag, tfms_per_sub):
+def _stacked_for_case(nds: NdsDefinition, phi0: SCMatrix, case: CaseTag,
+                      tfms_per_sub):
     """(stacked matrix, transposed) of the case-appropriate pencil.
 
     In case dual_a3 the pencil is built for the transposed system, whose
@@ -366,14 +373,24 @@ def _stacked_for_case(phi0: SCMatrix, case: CaseTag, tfms_per_sub):
         raise WrongCase("constrained tests need a rank-deficient case")
     if case.kind != DUAL_A3:
         pencil = _build_pencil(tfms_per_sub, hat=case.kind == A3, case=case)
-        return stacked_u2(pencil, phi0), False
+        return _portless_zero(nds, stacked_u2(pencil, phi0)), False
     dual = [SubsystemTfms(G_yu=t.G_yu.transpose(), G_yv=t.G_zu.transpose(),
                           G_zu=t.G_yv.transpose(), G_zv=t.G_zv.transpose())
             for t in tfms_per_sub]
     dual_case = CaseTag(kind=A3, zu_ranks=case.yv_ranks,
                         yv_ranks=case.zu_ranks)
     pencil = _build_pencil(dual, hat=True, case=dual_case)
-    return stacked_u2(pencil, phi0.transpose()), True
+    return _portless_zero(nds, stacked_u2(pencil, phi0.transpose())), True
+
+
+def _portless_zero(nds: NdsDefinition,
+                   stacked: StackedCoeffMatrix) -> StackedCoeffMatrix:
+    """The zero matrix in place of ``stacked`` when m_u = 0 or m_y = 0
+    (module docstring); ``stacked`` itself otherwise."""
+    if nds.m_u and nds.m_y:
+        return stacked
+    return StackedCoeffMatrix(entries=[[Fraction(0)] * stacked.cols], p=0,
+                              r=stacked.r, cols=stacked.cols)
 
 
 def check_identifiable_known_entries(nds: NdsDefinition, phi0: SCMatrix,
@@ -389,7 +406,7 @@ def check_identifiable_known_entries(nds: NdsDefinition, phi0: SCMatrix,
     phi0.check_shape(nds)
     _require_regular(nds, phi0)
     tfms, case = _classified(nds)
-    stacked, transposed = _stacked_for_case(phi0, case, tfms)
+    stacked, transposed = _stacked_for_case(nds, phi0, case, tfms)
     if transposed:
         known = {}
         for j in spec.J:
@@ -408,12 +425,9 @@ def check_identifiable_known_entries(nds: NdsDefinition, phi0: SCMatrix,
         fixed = set(known_map.get(j, ()))
         for i in fixed:
             if not 1 <= i <= m:
-                raise IndexError(f"known-entry row index {i} out of range")
+                raise SchemaError(f"known-entry row index {i} out of range")
         kept = [i for i in range(1, m + 1) if i not in fixed]
-        if not stacked.entries:
-            sub = []
-        else:
-            sub = [[row[i - 1] for i in kept] for row in stacked.entries]
+        sub = [[row[i - 1] for i in kept] for row in stacked.entries]
         if not kept:
             fcr, basis = True, []
         elif not sub:
@@ -440,7 +454,7 @@ def check_identifiable_parameterized(nds: NdsDefinition, spec,
     phi0.check_shape(nds)
     _require_regular(nds, phi0)
     tfms, case = _classified(nds)
-    stacked, transposed = _stacked_for_case(phi0, case, tfms)
+    stacked, transposed = _stacked_for_case(nds, phi0, case, tfms)
     directions = [d.transpose() if transposed else d for d in spec.directions]
     q = len(directions)
     cols = []
@@ -500,7 +514,8 @@ def check_identifiable_augmented(nds: NdsDefinition, phi0: SCMatrix,
     bot = PolyMat(m_z, m_v + m_z, [
         pencil.Y.entries[i] + [-x for x in p_poly.entries[i]]
         for i in range(m_z)])
-    stacked = _stacked_trailing_rows(PolyMat.vstack([top, bot]), m_v)
+    stacked = _portless_zero(
+        nds, _stacked_trailing_rows(PolyMat.vstack([top, bot]), m_v))
     if stacked.is_fcr():
         return IdentReport(case=case, verdict=IDENTIFIABLE, stacked=stacked)
     return IdentReport(case=case, verdict=NOT_IDENTIFIABLE, stacked=stacked,

@@ -416,11 +416,11 @@ def parse_constraints(c, nds: NdsDefinition):
                  for j, rows in _json_dict(ke.get("I", {}), "I").items()}
         for j in j_list:
             if not 1 <= j <= nds.m_z:
-                raise IndexError(f"column index {j} out of range")
+                raise SchemaError(f"column index {j} out of range")
         for j, rows in i_map.items():
             for i in rows:
                 if not 1 <= i <= nds.m_v:
-                    raise IndexError(f"row index {i} out of range")
+                    raise SchemaError(f"row index {i} out of range")
         return KnownEntries(J=j_list, I=i_map)
     if "affine" in c:
         af = _json_dict(c["affine"], "affine")

@@ -44,6 +44,11 @@ class ShapeError(ValueError):
     pass
 
 
+class BrokenInvariant(ArithmeticError):
+    """Exact arithmetic broke one of its own invariants: a program bug,
+    never an input error."""
+
+
 def _coerce_rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -581,7 +586,7 @@ class PolyMat(_GridMat):
     def det(self) -> Poly:
         d = self.to_ratfun().det()
         if not d.is_polynomial:
-            raise AssertionError("polynomial matrix with non-polynomial det")
+            raise BrokenInvariant("polynomial matrix with non-polynomial det")
         return d.num
 
     def is_unimodular(self) -> bool:

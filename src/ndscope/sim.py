@@ -30,6 +30,18 @@ start states come from jump matrices, and all lanes advance together as
 uint64 arrays.  The output is bit-identical to stepping each stream one
 sample at a time, and ``prbs(seed, m, c)`` is the first m rows of
 ``prbs(seed, m', c)`` for every m' >= m.
+
+Skip rules.  ``screen(nds, phi)`` holds the study engine's rules and
+stops at the first that fails, in this order: ``irregular`` (lifted
+pencil, ``check_nds_regular``), ``not_well_posed`` (I - Phi D_zv is
+singular), ``singular_e`` (the lumped E is singular) and ``unstable``
+(``stability_margins`` of E^-1 A).  If all pass it returns the lumped
+model as doubles, the ``FloatRealization`` (E^-1 A, E^-1 B, C, D) that
+``simulate`` takes, and the margins; else the rule's name, with the
+margins only for ``unstable``.  ``tau_sweep`` records the name as a
+skipped row's reason and adds ``too_many_samples`` (past ``MAX_SAMPLES``;
+the row keeps its margins); callers that cannot skip, ``distance_freq``
+and the CLI, raise the rule's typed error by ``Screening.require``.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ import scipy.linalg
 from . import ratmat
 from .identifiability import UndiffRegion, check_identifiable_at, undiff_region
 from .model import (
-    NdsDefinition, NotRegular, SCMatrix, check_nds_regular,
+    NdsDefinition, NotRegular, NotWellPosed, SCMatrix, check_nds_regular,
     check_well_posed, nds_tfm,
 )
 from .polymat import RatFunMat, ShapeError
@@ -104,11 +116,16 @@ class Trajectory:
     x: np.ndarray
 
 
-@dataclass
-class DistanceMetrics:
-    d_T: float
-    d_F: float
-    d_S: float
+@dataclass(frozen=True)
+class FloatRealization:
+    """Lumped model dx = a x + b u, y = c x + d u as doubles, with
+    a = E^-1 A_hat and b = E^-1 B_hat, in time domain ``domain``."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    domain: str = "continuous"
 
 
 @dataclass
@@ -159,7 +176,7 @@ def expm(a) -> np.ndarray:
 
 def stm(nds: NdsDefinition, phi: SCMatrix) -> np.ndarray:
     """State transition matrix E^-1 A of the lumped model, as doubles."""
-    return _lumped_float(nds, phi)[0]
+    return _lumped_float(nds, phi).a
 
 
 def stability_margins(a, domain: str = "continuous") -> StabilityMargins:
@@ -300,7 +317,7 @@ def prbs(seed: int, m: int, channels: int, amplitude: float = 10.0) -> np.ndarra
     return np.ascontiguousarray(np.where(bits, amplitude, -amplitude).T)
 
 
-def _lumped_float(nds: NdsDefinition, phi: SCMatrix):
+def _lumped_float(nds: NdsDefinition, phi: SCMatrix) -> FloatRealization:
     model = lump(nds, phi)
     e = ratmat.thaw(model.E_hat)
     if ratmat.det(e) == 0:
@@ -313,7 +330,40 @@ def _lumped_float(nds: NdsDefinition, phi: SCMatrix):
         ratmat.matmul(e_inv, ratmat.thaw(model.B_hat)))).reshape(n, m_u)
     c = np.asarray(ratmat.to_float(ratmat.thaw(model.C_hat))).reshape(m_y, n)
     d = np.asarray(ratmat.to_float(ratmat.thaw(model.D_hat))).reshape(m_y, m_u)
-    return a, b, c, d
+    return FloatRealization(a=a, b=b, c=c, d=d, domain=nds.time_domain)
+
+
+@dataclass
+class Screening:
+    """Outcome of ``screen``: ``reason`` is None when every rule passed."""
+
+    reason: str | None = None
+    realization: FloatRealization | None = None
+    margins: StabilityMargins | None = None
+
+    def require(self, what: str) -> FloatRealization:
+        """The realization, or the typed error of the failed rule."""
+        if self.reason is not None:
+            error = {"irregular": NotRegular, "not_well_posed": NotWellPosed,
+                     "singular_e": SingularE, "unstable": Unstable}
+            raise error[self.reason](f"{what}: {self.reason}")
+        return self.realization
+
+
+def screen(nds: NdsDefinition, phi: SCMatrix) -> Screening:
+    """Skip rules of the study engine, in order (module docstring)."""
+    if not check_nds_regular(nds, phi):
+        return Screening("irregular")
+    if not check_well_posed(nds, phi):
+        return Screening("not_well_posed")
+    try:
+        real = _lumped_float(nds, phi)
+    except SingularE:
+        return Screening("singular_e")
+    margins = stability_margins(real.a, nds.time_domain)
+    if not margins.stable:
+        return Screening("unstable", margins=margins)
+    return Screening(realization=real, margins=margins)
 
 
 def zoh_discretize(a: np.ndarray, b: np.ndarray, t: float):
@@ -374,25 +424,25 @@ def _zoh_states(a_d: np.ndarray, b_d: np.ndarray, u: np.ndarray,
     return x
 
 
-def simulate(nds: NdsDefinition, phi: SCMatrix, u, config: SimConfig) -> Trajectory:
-    """Zero-order-hold simulation of the lumped model under input u.
+def simulate(real: FloatRealization, u, config: SimConfig) -> Trajectory:
+    """Zero-order-hold simulation of a lumped realization under input u.
 
     Continuous-time systems are discretized exactly for piecewise
     constant inputs; discrete-time systems iterate the difference
     equation directly.  Both run the block kernel ``_zoh_states``.
     """
-    a, b, c, d = _lumped_float(nds, phi)
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
-    if u.shape != (config.M, b.shape[1]):
-        raise ShapeError(f"input must be {config.M}x{b.shape[1]}, got {u.shape}")
-    if nds.time_domain == "continuous":
-        a_d, b_d = zoh_discretize(a, b, config.T)
+    if u.shape != (config.M, real.b.shape[1]):
+        raise ShapeError(
+            f"input must be {config.M}x{real.b.shape[1]}, got {u.shape}")
+    if real.domain == "continuous":
+        a_d, b_d = zoh_discretize(real.a, real.b, config.T)
     else:
-        a_d, b_d = a, b
+        a_d, b_d = real.a, real.b
     x = _zoh_states(a_d, b_d, u, config.x0)
-    y = x @ c.T + u @ d.T
+    y = x @ real.c.T + u @ real.d.T
     times = np.arange(config.M) * config.T
     return Trajectory(times=times, u=u, y=y, x=x)
 
@@ -455,10 +505,7 @@ def distance_freq(nds: NdsDefinition, phi1: SCMatrix, phi2: SCMatrix,
     golden-section refinement around the best point.
     """
     for phi in (phi1, phi2):
-        if not check_nds_regular(nds, phi):
-            raise NotRegular("NDS is not regular at one of the SCMs")
-        if not is_stable(stm(nds, phi), nds.time_domain):
-            raise Unstable("H-infinity distance needs stable systems")
+        screen(nds, phi).require("the NDS at one of the SCMs")
     diff = exact_tfm(nds, phi1) - exact_tfm(nds, phi2)
     return hinf_norm(diff, nds.time_domain, grid)
 
@@ -534,12 +581,8 @@ class SweepRow:
     margins: StabilityMargins | None = None
     T: float | None = None
     M: int | None = None
-
-    @property
-    def metrics(self) -> DistanceMetrics | None:
-        if self.skipped:
-            return None
-        return DistanceMetrics(d_T=self.d_T, d_F=self.d_F, d_S=self.d_S)
+    # exact H(Phi_tau) - H(Phi0) of a kept row; d_F is its H-infinity norm
+    tfm_diff: RatFunMat | None = None
 
 
 def tau_sweep(nds: NdsDefinition, phi0: SCMatrix, phi_tilde: SCMatrix,
@@ -548,20 +591,14 @@ def tau_sweep(nds: NdsDefinition, phi0: SCMatrix, phi_tilde: SCMatrix,
               seed: int | None = None) -> list:
     """Distances and margins along Phi0 + tau (Phi_tilde - Phi0).
 
-    Grid points whose NDS is irregular, not well-posed, has a singular
-    lumped E, is unstable, or whose sampling rule asks for more than
-    MAX_SAMPLES samples are skipped with the reason recorded; margins are
-    recorded for every skipped row that reached the stability check.
-    Every row probes with the first M samples of one PRBS of amplitude 10
-    drawn from ``seed`` (default 0), so a row does not depend on the other
-    points of the grid.  ``config`` is the older way to pass the seed: its
-    seed and amplitude are used and its T and M are ignored; passing both
-    ``config`` and ``seed`` is a TypeError.
-
-    The reference's state transition matrix, stability and exact
-    transfer matrix are computed once per call; a row costs one
-    regularity test, one lump for its checks, one exact transfer matrix
-    and two simulations.
+    A grid point that fails a rule of ``screen``, or whose sampling rule
+    asks for more than MAX_SAMPLES samples, is skipped with the reason
+    recorded (module docstring).  Every row probes with the first M
+    samples of one PRBS of amplitude 10 drawn from ``seed`` (default 0),
+    so a row does not depend on the other points of the grid.  ``config``
+    is the older way to pass the seed: its seed and amplitude are used and
+    its T and M are ignored; passing both ``config`` and ``seed`` is a
+    TypeError.  The reference is screened, lumped and transferred once.
     """
     if config is not None and seed is not None:
         raise TypeError("pass the seed either in config or as seed=")
@@ -575,9 +612,7 @@ def tau_sweep(nds: NdsDefinition, phi0: SCMatrix, phi_tilde: SCMatrix,
             if report.verdict == "not_identifiable" \
             else UndiffRegion(phi0=phi0,
                               basis=[[] for _ in range(phi0.rows)])
-    a0 = stm(nds, phi0)
-    if not is_stable(a0, nds.time_domain):
-        raise Unstable("reference system must be stable for the sweep")
+    ref = screen(nds, phi0).require("the reference system of the sweep")
     h0 = exact_tfm(nds, phi0)
     delta = ratmat.sub(phi_tilde.as_lists(), phi0.as_lists())
     stream = None      # the longest PRBS drawn so far; rows use prefixes
@@ -586,41 +621,29 @@ def tau_sweep(nds: NdsDefinition, phi0: SCMatrix, phi_tilde: SCMatrix,
         tau = Fraction(tau)
         phi_tau = SCMatrix(ratmat.freeze(
             ratmat.add(phi0.as_lists(), ratmat.scale(delta, tau))))
-        if not check_nds_regular(nds, phi_tau):
-            rows.append(SweepRow(tau=tau, skipped=True, reason="irregular"))
-            continue
-        if not check_well_posed(nds, phi_tau):
+        screened = screen(nds, phi_tau)
+        if screened.reason is not None:
             rows.append(SweepRow(tau=tau, skipped=True,
-                                 reason="not_well_posed"))
+                                 reason=screened.reason,
+                                 margins=screened.margins))
             continue
         try:
-            a_tau = stm(nds, phi_tau)
-        except SingularE:
-            rows.append(SweepRow(tau=tau, skipped=True, reason="singular_e"))
-            continue
-        margins = stability_margins(a_tau, nds.time_domain)
-        if not margins.stable:
-            rows.append(SweepRow(tau=tau, skipped=True, reason="unstable",
-                                 margins=margins))
-            continue
-        try:
-            t, m = choose_sampling(a0, a_tau)
+            t, m = choose_sampling(ref.a, screened.realization.a)
         except TooManySamples:
             rows.append(SweepRow(tau=tau, skipped=True,
-                                 reason="too_many_samples", margins=margins))
+                                 reason="too_many_samples",
+                                 margins=screened.margins))
             continue
         if stream is None or len(stream) < m:
             stream = prbs(seed, m, nds.m_u, amplitude)
         u = stream[:m]
         cfg = SimConfig(T=t, M=m, seed=seed, amplitude=amplitude)
-        y0 = simulate(nds, phi0, u, cfg)
-        y1 = simulate(nds, phi_tau, u, cfg)
+        diff = exact_tfm(nds, phi_tau) - h0
         rows.append(SweepRow(
             tau=tau, skipped=False,
-            d_T=distance_time(y0, y1),
-            # the row passed the regularity and stability checks that
-            # distance_freq would repeat
-            d_F=hinf_norm(exact_tfm(nds, phi_tau) - h0, nds.time_domain),
+            d_T=distance_time(simulate(ref, u, cfg),
+                              simulate(screened.realization, u, cfg)),
+            d_F=hinf_norm(diff, nds.time_domain),
             d_S=distance_scm(phi_tau, region),
-            margins=margins, T=t, M=m))
+            margins=screened.margins, T=t, M=m, tfm_diff=diff))
     return rows

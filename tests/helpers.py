@@ -205,12 +205,17 @@ def feedback_tfm(nds, phi) -> RatFunMat:
 # lane vectorized kernels.
 
 
-def loop_simulate(nds, phi, u, config):
+def realization(nds, phi):
+    """The lumped float realization ``sim.simulate`` takes, unscreened."""
+    return sim._lumped_float(nds, phi)
+
+
+def loop_simulate(real, u, config):
     """(x, y) of the ZOH recursion x[k+1] = A_d x[k] + B_d u[k], one
     sample at a time."""
-    a, b, c, d = sim._lumped_float(nds, phi)
+    a, b, c, d = real.a, real.b, real.c, real.d
     u = np.asarray(u, dtype=float).reshape(config.M, b.shape[1])
-    if nds.time_domain == "continuous":
+    if real.domain == "continuous":
         a_d, b_d = sim.zoh_discretize(a, b, config.T)
     else:
         a_d, b_d = a, b

@@ -21,6 +21,7 @@ import ndscope.ratmat as rm
 from helpers import (
     feedback_tfm, pencil_inverse_tfm, rand_nds, rand_polymat, rand_ratfunmat,
     rand_reconstructible_nds, rand_unimodular, rand_wellposed_scm,
+    realization,
 )
 from ndscope.fixtures import (
     PHI0, PHI_DIFF, PHI_EQUIV, SWEEP_DIRECTIONS, demo_nds,
@@ -123,8 +124,8 @@ def test_criterion_6_simulation_discrimination():
         t, m = choose_sampling(a0, a1)
         u = prbs(seed, m, nds.m_u, 10.0)
         cfg = SimConfig(T=t, M=m, seed=seed)
-        tr0 = simulate(nds, PHI0, u, cfg)
-        tr1 = simulate(nds, phi_other, u, cfg)
+        tr0 = simulate(realization(nds, PHI0), u, cfg)
+        tr1 = simulate(realization(nds, phi_other), u, cfg)
         return float(np.nanmax(relative_error(tr0, tr1))), m
 
     err_equiv, m1 = pair_error(PHI_EQUIV)

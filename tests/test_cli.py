@@ -9,6 +9,7 @@ import pytest
 
 from ndscope.cli import main
 from ndscope.fixtures import demo_model_json
+from ndscope.model import SCMatrix
 
 
 @pytest.fixture(scope="module")
@@ -121,9 +122,11 @@ class TestCheckIdentifiability:
         {"affine": {"phi0": [["0", "0"]] * 4, "directions": 5}},
         {"affine": {"phi0": [["0", "0"]] * 4, "theta": 5}},
         {"affine": {"directions": []}},
+        {"known_entries": {"J": [1], "I": {"1": [5]}}},
+        {"known_entries": {"J": [3]}},
     ], ids=["ke-number", "J-number", "J-nested", "I-number-rows", "I-list",
             "affine-number", "phi0-number", "phi0-flat", "directions-number",
-            "theta-number", "no-phi0"])
+            "theta-number", "no-phi0", "I-out-of-range", "J-out-of-range"])
     def test_malformed_constraints_exit_2(self, model_path, tmp_path, schema,
                                           constraints):
         cpath = tmp_path / "constraints.json"
@@ -132,6 +135,34 @@ class TestCheckIdentifiability:
             ["check-identifiability", model_path, "--scm", PHI0_INLINE,
              "--constraints", str(cpath)], schema)
         assert code == 2 and "SchemaError" in doc["error"]
+
+    @pytest.mark.parametrize("error", [KeyError, IndexError])
+    def test_program_bug_is_not_exit_2(self, model_path, monkeypatch, error):
+        # exit 2 reports a fault in the input; a bug surfaces as itself
+        import ndscope.cli as cli
+
+        def buggy(args):
+            raise error("bug")
+        monkeypatch.setattr(cli, "cmd_check_identifiability", buggy)
+        with pytest.raises(error):
+            run_cli(["check-identifiability", model_path])
+
+    def test_portless_model_not_identifiable(self, tmp_path, schema):
+        # no external input or output: every SCM gives the same empty TFM
+        path = tmp_path / "portless.json"
+        path.write_text(json.dumps({"subsystems": [{
+            "E": [["1"]], "A_xx": [["-1"]], "B_xv": [["1"]], "B_xu": [[]],
+            "C_zx": [["1"]], "C_yx": [], "D_zv": [["0"]], "D_zu": [[]],
+            "D_yv": [], "D_yu": []}], "scm": [["1/2"]]}))
+        code, doc = run_json(["check-identifiability", str(path)], schema)
+        assert code == 0
+        result = doc["result"]
+        assert (result["case"], result["verdict"]) == ("a2",
+                                                       "not_identifiable")
+        assert result["region"] == {"transposed": False, "basis": [["1"]]}
+        code, _ = run_json(["check-identifiability", str(path), "--strict"],
+                           schema)
+        assert code == 1
 
     def test_known_entries_constraints(self, model_path, tmp_path, schema):
         cpath = tmp_path / "constraints.json"
@@ -461,3 +492,61 @@ class TestReproduceCmd:
         assert os.path.exists(os.path.join(out, "summary.json"))
         failed = [n for n, ok in checks.items() if not ok]
         assert failed == [spot]
+
+
+class TestOneScreening:
+    def test_each_scm_lumped_and_transferred_once(self, model_path,
+                                                   tmp_path, monkeypatch):
+        from fractions import Fraction
+        import ndscope.cli as cli
+        import ndscope.sim as sim
+        from ndscope.fixtures import PHI0, PHI_DIFF, SWEEP_DIRECTIONS, demo_nds
+
+        calls = {"lump": [], "tfm": [], "regular": []}
+
+        def counted(name, fn):
+            def wrapper(nds, phi):
+                calls[name].append(phi)
+                return fn(nds, phi)
+            return wrapper
+        monkeypatch.setattr(sim, "_lumped_float",
+                            counted("lump", sim._lumped_float))
+        monkeypatch.setattr(sim, "check_nds_regular",
+                            counted("regular", sim.check_nds_regular))
+        tfm = counted("tfm", sim.exact_tfm)
+        for mod in (sim, cli):
+            monkeypatch.setattr(mod, "exact_tfm", tfm)
+
+        def reset():
+            for v in calls.values():
+                v.clear()
+
+        # a sweep op: k kept rows cost k + 1 lumps and exact TFMs, the
+        # singular-value plot included
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(json.dumps(
+            [[[str(x) for x in row] for row in SWEEP_DIRECTIONS[0].entries]]))
+        code, _, _ = run_cli(["sweep", model_path, "--scm0", PHI0_INLINE,
+                              "--directions", str(dirs), "--tau", "0:1:2",
+                              "--out-dir", str(tmp_path / "sweep")])
+        assert code == 0
+        assert (len(calls["lump"]), len(calls["tfm"])) == (4, 4)
+
+        # simulate lumps each SCM once
+        reset()
+        code, _, _ = run_cli(["simulate", model_path, "--scm-a", PHI0_INLINE,
+                              "--scm-b", PHI_DIFF_INLINE,
+                              "--out-dir", str(tmp_path / "sim")])
+        assert code == 0
+        assert [p.entries for p in calls["lump"]] == \
+            [PHI0.entries, PHI_DIFF.entries]
+
+        # the spot scan: one regularity test, lump and exact TFM per tau
+        # (tau = 1.1 is skipped as unstable), H(Phi0) once
+        reset()
+        phi0 = SCMatrix(PHI0.entries)
+        spot = cli._spot_value_scan(demo_nds(), phi0, SWEEP_DIRECTIONS[0])
+        assert spot["argmax_tau"] == str(Fraction(6, 5))
+        assert (len(calls["regular"]), len(calls["lump"])) == (201, 201)
+        assert sum(p is phi0 for p in calls["tfm"]) == 1
+        assert len(calls["tfm"]) == 200 + 2     # kept rows, H(Phi0), graze

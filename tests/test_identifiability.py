@@ -524,3 +524,60 @@ class TestAugmented:
     def test_wrong_case_rejected(self):
         with pytest.raises(WrongCase):
             check_identifiable_augmented(demo_nds(), PHI0)
+
+
+def _portless(m_u, m_y):
+    """One stable state with m_u external inputs and m_y external outputs."""
+    one, zero = ((F(1),),), ((F(0),),)
+    from ndscope.model import NdsDefinition, SubsystemRealization
+    sub = SubsystemRealization(
+        E=one, A_xx=((F(-1),),), B_xv=one, B_xu=((F(1),) * m_u,),
+        C_zx=one, C_yx=((F(1),),) * m_y, D_zv=zero, D_zu=((F(0),) * m_u,),
+        D_yv=((F(0),),) * m_y, D_yu=((F(0),) * m_u,) * m_y)
+    return NdsDefinition(subsystems=(sub,))
+
+
+class TestPortless:
+    """With m_u = 0 or m_y = 0 the external TFM is empty at every SCM, so
+    every check returns the whole SCM space, whatever the case's frame."""
+
+    PHI = SCMatrix(((F(1, 2),),))
+
+    @pytest.mark.parametrize("m_u,m_y,kind", [(0, 0, A2), (0, 1, DUAL_A3),
+                                              (1, 0, A3)])
+    def test_direct_verdict_and_region(self, m_u, m_y, kind):
+        nds = _portless(m_u, m_y)
+        # the oracle: SCMs 0 and 1/2 give the same (empty) external TFM
+        assert tfm_equal(nds_tfm(nds, self.PHI),
+                         nds_tfm(nds, SCMatrix.zero(1, 1)))
+        rep = check_identifiable_at(nds, self.PHI)
+        assert (rep.case.kind, rep.verdict) == (kind, NOT_IDENTIFIABLE)
+        assert rep.transposed == (kind == DUAL_A3)
+        assert rep.null_basis == [[F(1)]]
+        region = undiff_region(rep, self.PHI)
+        assert verify_region_by_tfm(nds, self.PHI, region, 5, 5, seed=2)
+
+    @pytest.mark.parametrize("m_u,m_y", [(0, 0), (0, 1), (1, 0)])
+    def test_constrained_checks(self, m_u, m_y):
+        nds = _portless(m_u, m_y)
+        free = check_identifiable_known_entries(nds, self.PHI,
+                                                KnownEntries(J=()))
+        assert free.verdict == NOT_IDENTIFIABLE
+        assert free.per_column[1]["null_basis"] == [[F(1)]]
+        # an SCM known a priori is its own region
+        known = check_identifiable_known_entries(
+            nds, self.PHI, KnownEntries(J=(1,), I={1: (1,)}))
+        assert known.verdict == IDENTIFIABLE
+        line = AffineConstraint(base=SCMatrix.zero(1, 1),
+                                directions=(SCMatrix(((F(1),),)),))
+        rep = check_identifiable_parameterized(nds, line, (F(1, 2),))
+        assert rep.verdict == NOT_IDENTIFIABLE
+        assert rep.theta_null_basis == [[F(1)]]
+        point = AffineConstraint(base=self.PHI, directions=())
+        assert check_identifiable_parameterized(
+            nds, point, ()).verdict == IDENTIFIABLE
+
+    def test_augmented(self):
+        rep = check_identifiable_augmented(_portless(0, 0), self.PHI)
+        assert rep.verdict == NOT_IDENTIFIABLE
+        assert rep.null_basis == [[F(1)]]

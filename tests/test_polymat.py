@@ -5,7 +5,7 @@ import pytest
 
 from helpers import rand_poly, rand_polymat, rand_ratfunmat, rand_unimodular
 from ndscope.polymat import (
-    NEG_INF, NotUnimodular, Poly, PolyMat, RatFun, RatFunMat, S,
+    NEG_INF, BrokenInvariant, NotUnimodular, Poly, PolyMat, RatFun, RatFunMat, S,
     is_coprime_right, normal_rank, poly_gcd, poly_lcm, proper_split,
     rank_at_point, right_coprime_mfd, smith_form, smith_mcmillan,
     unimodular_inverse,
@@ -52,6 +52,20 @@ class TestPoly:
 
     def test_monic(self):
         assert P(4, 2).monic() == P(2, 1)
+
+
+class TestPolyMatDet:
+    def test_broken_invariant_is_typed(self, monkeypatch):
+        # det of a polynomial matrix is a polynomial; if the rational
+        # route ever returned 1/s, that is a bug, not an input error
+        m = PolyMat(1, 1, [[P(0, 1)]])
+        assert m.det() == P(0, 1)
+        monkeypatch.setattr(RatFunMat, "det",
+                            lambda self: RatFun(P(1), P(0, 1)))
+        with pytest.raises(BrokenInvariant):
+            m.det()
+        assert issubclass(BrokenInvariant, ArithmeticError)
+        assert not issubclass(BrokenInvariant, ValueError)
 
 
 class TestPolyGcd:

@@ -7,7 +7,7 @@ import pytest
 
 import ndscope.ratmat as rm
 import ndscope.sim
-from helpers import loop_simulate, rand_mat, xorshift_prbs
+from helpers import loop_simulate, rand_mat, realization, xorshift_prbs
 from ndscope.fixtures import PHI0, PHI_DIFF, PHI_EQUIV, SWEEP_DIRECTIONS, demo_nds
 from ndscope.model import NdsDefinition, SCMatrix, SubsystemRealization
 from ndscope.polymat import Poly, RatFun, RatFunMat, ShapeError
@@ -15,9 +15,11 @@ from ndscope.sim import (
     MAX_SAMPLES, SimConfig, SingularE, TooManySamples, Trajectory, Unstable,
     ZeroSpectrum, choose_sampling, distance_freq, distance_scm,
     distance_time, eig, exact_tfm, expm, freq_response, hinf_norm, prbs,
-    relative_error, simulate, stability_margins, stm, svd, tau_sweep,
+    relative_error, screen, simulate, stability_margins, stm, svd, tau_sweep,
 )
-from ndscope.identifiability import check_identifiable_at, undiff_region
+from ndscope.identifiability import (
+    UndiffRegion, check_identifiable_at, undiff_region,
+)
 from ndscope.reconstruction import lump
 
 
@@ -89,6 +91,15 @@ class TestStm:
         nds = NdsDefinition(subsystems=(sub,))
         with pytest.raises(SingularE):
             stm(nds, SCMatrix.zero(1, 1))
+        # E does not depend on Phi, so a sweep refuses its reference
+        # before any row could be skipped as singular_e
+        got = screen(nds, SCMatrix.zero(1, 1))
+        assert (got.reason, got.realization, got.margins) == \
+            ("singular_e", None, None)
+        with pytest.raises(SingularE):
+            tau_sweep(nds, SCMatrix.zero(1, 1), SCMatrix.zero(1, 1), [F(0)],
+                      region=UndiffRegion(phi0=SCMatrix.zero(1, 1),
+                                          basis=[[]]))
 
 
 class TestMargins:
@@ -188,7 +199,7 @@ class TestSimulate:
     def test_zero_input_zero_state(self):
         nds = demo_nds()
         cfg = SimConfig(T=0.01, M=50)
-        tr = simulate(nds, PHI0, np.zeros((50, 2)), cfg)
+        tr = simulate(realization(nds, PHI0), np.zeros((50, 2)), cfg)
         assert np.allclose(tr.y, 0.0)
 
     def test_superposition(self):
@@ -196,9 +207,10 @@ class TestSimulate:
         cfg = SimConfig(T=0.02, M=200)
         u1 = prbs(1, 200, 2)
         u2 = prbs(2, 200, 2)
-        y1 = simulate(nds, PHI0, u1, cfg).y
-        y2 = simulate(nds, PHI0, u2, cfg).y
-        y12 = simulate(nds, PHI0, u1 + u2, cfg).y
+        real = realization(nds, PHI0)
+        y1 = simulate(real, u1, cfg).y
+        y2 = simulate(real, u2, cfg).y
+        y12 = simulate(real, u1 + u2, cfg).y
         scale = np.abs(y12).max() or 1.0
         assert np.max(np.abs(y12 - (y1 + y2))) <= 1e-9 * scale
 
@@ -210,7 +222,7 @@ class TestSimulate:
         t_s = 0.05
         cfg = SimConfig(T=t_s, M=m)
         u = prbs(5, m, 2)
-        tr = simulate(nds, PHI0, u, cfg)
+        tr = simulate(realization(nds, PHI0), u, cfg)
 
         model = lump(nds, PHI0)
         a = np.array(rm.to_float(rm.thaw(model.A_hat)))
@@ -242,7 +254,7 @@ class TestSimulate:
                             time_domain="discrete")
         cfg = SimConfig(T=1.0, M=10)
         u = np.ones((10, 2))
-        tr = simulate(nds, SCMatrix.zero(4, 2), u, cfg)
+        tr = simulate(realization(nds, SCMatrix.zero(4, 2)), u, cfg)
         model = lump(nds, SCMatrix.zero(4, 2))
         a = np.array(rm.to_float(rm.thaw(model.A_hat)))
         b = np.array(rm.to_float(rm.thaw(model.B_hat)))
@@ -254,13 +266,13 @@ class TestSimulate:
     def test_shape_error(self):
         cfg = SimConfig(T=0.01, M=10)
         with pytest.raises(ShapeError):
-            simulate(demo_nds(), PHI0, np.zeros((5, 2)), cfg)
+            simulate(realization(demo_nds(), PHI0), np.zeros((5, 2)), cfg)
 
     def test_initial_state(self):
         nds = demo_nds()
         x0 = np.array([1.0, -0.5, 0.25, 2.0])
         cfg = SimConfig(T=0.01, M=5, x0=x0)
-        tr = simulate(nds, PHI0, np.zeros((5, 2)), cfg)
+        tr = simulate(realization(nds, PHI0), np.zeros((5, 2)), cfg)
         from ndscope.reconstruction import lump
         c = np.array(rm.to_float(rm.thaw(lump(nds, PHI0).C_hat)))
         assert np.allclose(tr.y[0], c @ x0)
@@ -308,8 +320,9 @@ class TestBlockKernel:
         assert stability_margins(stm(nds, phi), domain).stable
         cfg = SimConfig(T=0.05, M=m, x0=np.array([1.0, -2.0, 0.5]))
         u = prbs(m + n_u, m, n_u)
-        tr = simulate(nds, phi, u, cfg)
-        x, y = loop_simulate(nds, phi, u, cfg)
+        real = realization(nds, phi)
+        tr = simulate(real, u, cfg)
+        x, y = loop_simulate(real, u, cfg)
         assert tr.x.shape == x.shape and tr.y.shape == y.shape
         for got, want in ((tr.x, x), (tr.y, y)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -319,8 +332,9 @@ class TestBlockKernel:
         t, m = choose_sampling(stm(nds, PHI0), stm(nds, PHI_DIFF))
         cfg = SimConfig(T=t, M=m)
         u = prbs(0, m, nds.m_u)
-        tr = simulate(nds, PHI_DIFF, u, cfg)
-        _, y = loop_simulate(nds, PHI_DIFF, u, cfg)
+        real = realization(nds, PHI_DIFF)
+        tr = simulate(real, u, cfg)
+        _, y = loop_simulate(real, u, cfg)
         assert np.max(np.abs(tr.y - y)) <= 1e-12 * np.max(np.abs(y))
 
 
@@ -457,6 +471,18 @@ class TestDistanceScm:
             assert got == pytest.approx(float(tau) * base, rel=1e-9)
 
 
+def _one_state(c_zx):
+    """x' = -x + v + u, z = c_zx x + v, y = x.  At Phi = 1, 1 - Phi G_zv(s)
+    is identically zero when c_zx = 0 (irregular); when c_zx = 1 it is
+    -1/(s + 1), but 1 - Phi D_zv = 0 (regular, not well-posed)."""
+    one, zero = ((F(1),),), ((F(0),),)
+    sub = SubsystemRealization(
+        E=one, A_xx=((F(-1),),), B_xv=one, B_xu=one,
+        C_zx=((F(c_zx),),), C_yx=one, D_zv=one, D_zu=zero,
+        D_yv=zero, D_yu=zero)
+    return NdsDefinition(subsystems=(sub,))
+
+
 class TestTauSweep:
     def test_tau_zero_row(self):
         nds = demo_nds()
@@ -465,12 +491,22 @@ class TestTauSweep:
         assert not r.skipped
         assert r.d_T == 0.0 and r.d_F == 0.0 and r.d_S == 0.0
 
-    def test_skip_bookkeeping_direction_one(self):
-        nds = demo_nds()
-        taus = [F(k, 10) for k in (10, 11, 12)]
-        rows = tau_sweep(nds, PHI0, SWEEP_DIRECTIONS[0], taus, seed=0)
+    @pytest.mark.parametrize("reason",
+                             ["unstable", "irregular", "not_well_posed"])
+    def test_skip_bookkeeping(self, reason):
+        if reason == "unstable":
+            # tau = 1.1 on direction 1 has a real eigenvalue at +6.37e-5
+            nds, phi0, direction = demo_nds(), PHI0, SWEEP_DIRECTIONS[0]
+            taus = [F(k, 10) for k in (10, 11, 12)]
+        else:
+            nds = _one_state(c_zx=0 if reason == "irregular" else 1)
+            phi0, direction = SCMatrix.zero(1, 1), SCMatrix(((F(1),),))
+            taus = [F(1, 4), F(1), F(3, 2)]
+        rows = tau_sweep(nds, phi0, direction, taus, seed=0)
         assert [r.skipped for r in rows] == [False, True, False]
-        assert rows[1].reason == "unstable"
+        assert rows[1].reason == reason
+        # only the stability rule computes margins
+        assert (rows[1].margins is not None) == (reason == "unstable")
 
     def test_rows_carry_margins_and_sampling(self):
         nds = demo_nds()
@@ -478,9 +514,7 @@ class TestTauSweep:
         r = rows[0]
         assert r.margins is not None and r.margins.stable
         assert r.M >= 10_000 and r.T > 0
-        m = r.metrics
-        assert (m.d_T, m.d_F, m.d_S) == (r.d_T, r.d_F, r.d_S)
-        assert all(v >= 0.0 for v in (m.d_T, m.d_F, m.d_S))
+        assert all(v >= 0.0 for v in (r.d_T, r.d_F, r.d_S))
 
     def test_tau_zero_after_longer_row(self):
         # tau = 1.2 draws M = 23,826 samples; tau = 0 then reuses a prefix
