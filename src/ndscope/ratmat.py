@@ -1,24 +1,66 @@
 """Exact linear algebra on plain list-of-list matrices.
 
-Matrices are sequences of rows.  Entries are ``fractions.Fraction`` or
-elements of any other exact field that supports ``+ - * /`` and tests
-nonzero by truthiness, such as ``polymat.RatFun``; this module holds the
-package's one Gaussian elimination (``rref``, ``det``), used over Q and
-over Q(s).  Functions return fresh lists and never mutate their
-arguments.  Empty
-matrices (zero rows or zero columns) are legal everywhere; a matrix with
-zero rows must still carry its column count explicitly where it matters,
-hence the ``cols`` arguments on a few functions.
+Matrices are sequences of rows.  Entries are ``int`` or
+``fractions.Fraction`` (the field Q), or elements of any other exact field
+that supports ``+ - * /`` and tests nonzero by truthiness, such as
+``polymat.RatFun`` (the field Q(s)).  Functions return fresh lists and
+never mutate their arguments.  Empty matrices (zero rows or zero columns)
+are legal everywhere; a matrix with zero rows must still carry its column
+count explicitly where it matters, hence the ``cols`` arguments on a few
+functions.
+
+Over Q the arithmetic runs on Python integers, so that a gcd is taken
+once per output entry instead of once per add and multiply:
+
+* Row clearing.  Each row is multiplied by the lcm of its denominators,
+  which makes it a row of ints.  Scaling a row changes no pivot column,
+  rank, null space or RREF; it scales the determinant by the row's
+  factor, which ``det`` divides out at the end.
+* One elimination, ``_eliminate``: fraction-free (Bareiss) Gauss-Jordan.
+  With pivot ``piv``, the previous pivot ``prev`` (1 at the first step)
+  and ``f`` a row's entry in the pivot column, every non-pivot row
+  becomes (piv * row - f * pivot_row) / prev; a row with f = 0 is still
+  scaled by piv / prev.  Minor bound: after k pivots, with R the input
+  rows and C the input columns of those pivots, an entry (i, j) of a
+  non-pivot row is the (k+1)-minor of the input on rows R + {i} and
+  columns C + {j}, and an entry of the t-th pivot row is the k-minor on
+  rows R and columns C with the t-th of them replaced by j (Sylvester's
+  identity; Cramer's rule).  The divisor ``prev`` is the k-minor on R x C
+  before the step, so every division is exact, integers stay integers,
+  and no entry is larger than a minor of the input.  The forward-only
+  pass of ``det`` and ``rank`` updates only the rows below the pivot:
+  they follow the same (k+1)-minor rule, and a pivot row keeps the
+  minors it held when it became one, so the last pivot of a square
+  matrix is its determinant up to the sign of the row swaps.  ``rref``
+  ends by dividing each pivot row by its pivot: one Fraction
+  normalization per output entry.
+* The same loop runs over other fields with field division in place of
+  the exact integer division, so Q and Q(s) share one elimination
+  (``rref``, ``rank``, ``det``, ``solve``, ``inv``, ``null_space``,
+  ``left_null_space``).
+* ``matmul`` clears the rows of ``a`` and the columns of ``b`` and forms
+  c_ij = (sum_t A_it B_tj) / (da_i db_j): one gcd per output entry.
+* A one-sided full-rank certificate in ``rank``.  It first eliminates the
+  cleared integer rows modulo the prime p = 2^61 - 1.  A minor that is
+  nonzero mod p is nonzero over Z, so the rank mod p never exceeds the
+  rank over Q: when it equals min(rows, cols), full rank is proved
+  exactly.  A lower rank mod p proves nothing (p may divide every
+  maximal minor), and the exact elimination decides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
+from operator import floordiv, mul, truediv
 
 Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# the prime of the full-rank certificate in ``rank``
+_P = (1 << 61) - 1
 
 
 def shape(m):
@@ -52,25 +94,36 @@ def scale(m, c):
     return [[c * x for x in row] for row in m]
 
 
+def _cleared(m):
+    """(rows, scales): copies of the rows of ``m`` and the row scales.
+
+    Over Q each row is multiplied by the lcm of its denominators, which
+    is its scale, and holds ints.  Over another field (any entry not an
+    int or a Fraction) the rows are plain copies and ``scales`` is None.
+    """
+    if all(isinstance(x, (int, Fraction)) for row in m for x in row):
+        scales = [lcm(*[x.denominator for x in row]) for row in m]
+        return [[x.numerator * (s // x.denominator) for x in row]
+                for row, s in zip(m, scales)], scales
+    return [list(row) for row in m], None
+
+
+def _fraction(num, den):
+    return Fraction(num, den) if num else ZERO
+
+
 def matmul(a, b, inner=None):
-    """a @ b; ``inner`` gives the shared dimension when ``a`` has no rows."""
-    ra = len(a)
-    k = len(a[0]) if ra and a[0] is not None else (inner if inner is not None else len(b))
-    if ra and len(a[0]) != len(b):
+    """a @ b over Q; ``inner`` gives the shared dimension when ``a`` has
+    no rows."""
+    if a and len(a[0]) != len(b):
         raise ValueError("matmul: inner dimensions differ")
-    cb = len(b[0]) if b else 0
-    out = zeros(ra, cb)
-    for i in range(ra):
-        row = a[i]
-        oi = out[i]
-        for t in range(len(b)):
-            x = row[t]
-            if x:
-                bt = b[t]
-                for j in range(cb):
-                    if bt[j]:
-                        oi[j] += x * bt[j]
-    return out
+    a_int, da = _cleared(a)
+    b_int, db = _cleared(transpose(b, cols=len(b[0]) if b else 0))
+    if da is None or db is None:
+        raise TypeError("matmul: entries must be ints or Fractions")
+    return [[_fraction(sum(map(mul, row, col)), di * dj)
+             for col, dj in zip(b_int, db)]
+            for row, di in zip(a_int, da)]
 
 
 def hstack(a, b):
@@ -87,33 +140,90 @@ def is_zero(m):
     return all(x == 0 for row in m for x in row)
 
 
-def rref(m, cols=None):
-    """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
-    a = [row[:] for row in m]
+def _eliminate(a, ncols, exact, jordan):
+    """Fraction-free elimination of the rows ``a`` in place (module
+    docstring).  ``exact`` selects exact integer division over field
+    division; ``jordan`` eliminates above the pivot as well as below.
+    Returns (pivot columns, sign of the row permutation); pivot row t
+    ends at ``a[t]``.
+    """
+    div = floordiv if exact else truediv
     nrows = len(a)
-    ncols = len(a[0]) if a else (cols or 0)
-    pivots = []
-    r = 0
+    pivots, sign, prev = [], 1, 1
     for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         p = next((i for i in range(r, nrows) if a[i][c]), None)
         if p is None:
             continue
-        a[r], a[p] = a[p], a[r]
-        inv = ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        top = a[r]
+        piv = top[c]
+        for i in range(0 if jordan else r + 1, nrows):
+            if i == r:
+                continue
+            row = a[i]
+            f = row[c]
+            if f:
+                a[i] = [div(piv * x - f * y, prev) for x, y in zip(row, top)]
+            else:
+                a[i] = [div(piv * x, prev) for x in row]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+        prev = piv
+    return pivots, sign
+
+
+def rref(m, cols=None):
+    """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
+    ncols = len(m[0]) if m else (cols or 0)
+    a, scales = _cleared(m)
+    exact = scales is not None
+    pivots = _eliminate(a, ncols, exact, jordan=True)[0]
+    for r, c in enumerate(pivots):
+        piv = a[r][c]
+        a[r] = ([_fraction(x, piv) for x in a[r]] if exact
+                else [x / piv for x in a[r]])
+    if exact:
+        a[len(pivots):] = zeros(len(a) - len(pivots), ncols)
     return a, pivots
 
 
+def _full_rank_mod_p(a, ncols):
+    """True when the int rows ``a`` have rank min(rows, cols) mod ``_P``,
+    which proves that rank over Q (module docstring)."""
+    rows = [[x % _P for x in row] for row in a]
+    nrows = len(rows)
+    need = min(nrows, ncols)
+    r = 0
+    for c in range(ncols):
+        if r == need:
+            break
+        p = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if p is None:
+            if ncols - c - 1 < need - r:
+                return False
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        top = rows[r]
+        inv = pow(top[c], -1, _P)
+        for i in range(r + 1, nrows):
+            f = rows[i][c] * inv % _P
+            if f:
+                rows[i] = [(x - f * y) % _P for x, y in zip(rows[i], top)]
+        r += 1
+    return r == need
+
+
 def rank(m, cols=None):
-    return len(rref(m, cols)[1])
+    ncols = len(m[0]) if m else (cols or 0)
+    a, scales = _cleared(m)
+    exact = scales is not None
+    if exact and _full_rank_mod_p(a, ncols):
+        return min(len(a), ncols)
+    return len(_eliminate(a, ncols, exact, jordan=False)[0])
 
 
 def null_space(m, cols=None):
@@ -154,23 +264,14 @@ def det(m):
         raise ValueError("det: matrix not square")
     if n == 0:
         return ONE
-    a = [row[:] for row in m]
-    sign = ONE
-    out = ONE
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c]), None)
-        if p is None:
-            return ZERO
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            sign = -sign
-        piv = a[c][c]
-        out *= piv
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] / piv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return out * sign
+    a, scales = _cleared(m)
+    pivots, sign = _eliminate(a, n, scales is not None, jordan=False)
+    if len(pivots) < n:
+        return ZERO
+    last = a[-1][-1]
+    if scales is not None:
+        return Fraction(sign * last, prod(scales))
+    return -last if sign < 0 else last
 
 
 class SingularMatrixError(ArithmeticError):

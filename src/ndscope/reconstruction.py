@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import ratmat
 from .model import (
     NdsDefinition, NotRegular, NotWellPosed, SCMatrix, check_nds_regular,
-    check_well_posed, descriptor_tfm, lifted_realization,
+    descriptor_tfm, lifted_realization,
 )
 from .polymat import RatFunMat, ShapeError
 
@@ -66,17 +66,16 @@ def _gain(nds: NdsDefinition, phi: SCMatrix):
     w = ratmat.sub(ratmat.identity(nds.m_v),
                    ratmat.matmul(phi.as_lists(), d_zv))
     try:
-        w_inv = ratmat.inv(w)
+        return ratmat.solve(w, phi.as_lists())
     except ratmat.SingularMatrixError as exc:
         raise NotWellPosed("I - Phi D_zv is singular") from exc
-    return ratmat.matmul(w_inv, phi.as_lists())
 
 
 def lump(nds: NdsDefinition, phi: SCMatrix) -> LumpedModel:
-    """Eliminate the interconnection and return the whole-NDS model."""
+    """Eliminate the interconnection and return the whole-NDS model.
+
+    Raises NotWellPosed when I - Phi D_zv is singular."""
     phi.check_shape(nds)
-    if not check_well_posed(nds, phi):
-        raise NotWellPosed("I - Phi D_zv is singular")
     gain = _gain(nds, phi)
     k = ratmat.vstack(nds.block("B_xv"), nds.block("D_yv"))
     latch = ratmat.hstack(nds.block("C_zx"), nds.block("D_zu"))
@@ -150,6 +149,12 @@ def _model_deviation(nds: NdsDefinition, model: LumpedModel):
     return ratmat.sub(cand, base)
 
 
+def _recovery_matrix(nds: NdsDefinition, h_m):
+    """W = I + H_m D_zv; Phi = W^-1 H_m."""
+    return ratmat.add(ratmat.identity(nds.m_v),
+                      ratmat.matmul(h_m, nds.block("D_zv")))
+
+
 def check_consistency(nds: NdsDefinition,
                       model: LumpedModel) -> ConsistencyReport:
     """Can any SCM produce this lumped model?  Exact three-part test."""
@@ -173,11 +178,13 @@ def check_consistency(nds: NdsDefinition,
     h_m = ratmat.matmul(
         ratmat.matmul(ktk_inv, ratmat.transpose(k)),
         ratmat.matmul(ratmat.matmul(e_d, ratmat.transpose(latch)), llt_inv))
-    w = ratmat.add(ratmat.identity(nds.m_v),
-                   ratmat.matmul(h_m, nds.block("D_zv")))
-    w_perp = ratmat.left_null_space(w, cols=nds.m_v)
-    cond_hm = ratmat.is_zero(ratmat.matmul(w_perp, h_m, inner=len(h_m)))
-    unique = ratmat.det(w) != 0
+    # one elimination of [W | H_m], W = I + H_m D_zv: cond_hm is
+    # rank [W | H_m] = rank W, uniqueness is rank W = m_v
+    w = _recovery_matrix(nds, h_m)
+    pivots = ratmat.rref(ratmat.hstack(w, h_m), cols=nds.m_v + nds.m_z)[1]
+    rank_w = sum(c < nds.m_v for c in pivots)
+    cond_hm = rank_w == len(pivots)
+    unique = rank_w == nds.m_v
     return ConsistencyReport(
         cond_left=cond_left, cond_right=cond_right, cond_hm=cond_hm,
         H_m=h_m, consistent=cond_left and cond_right and cond_hm,
@@ -196,11 +203,9 @@ def recover_scm(nds: NdsDefinition, model: LumpedModel) -> SCMatrix:
     report = check_consistency(nds, model)
     if not report.consistent:
         raise Inconsistent("model is not consistent with the NDS structure")
-    w = ratmat.add(ratmat.identity(nds.m_v),
-                   ratmat.matmul(report.H_m, nds.block("D_zv")))
     try:
-        w_inv = ratmat.inv(w)
+        phi = ratmat.solve(_recovery_matrix(nds, report.H_m), report.H_m)
     except ratmat.SingularMatrixError as exc:
         raise SingularRecovery(
             "I + H_m D_zv is singular despite a consistent model") from exc
-    return SCMatrix(ratmat.freeze(ratmat.matmul(w_inv, report.H_m)))
+    return SCMatrix(ratmat.freeze(phi))

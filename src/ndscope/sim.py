@@ -319,15 +319,15 @@ def prbs(seed: int, m: int, channels: int, amplitude: float = 10.0) -> np.ndarra
 
 def _lumped_float(nds: NdsDefinition, phi: SCMatrix) -> FloatRealization:
     model = lump(nds, phi)
-    e = ratmat.thaw(model.E_hat)
-    if ratmat.det(e) == 0:
-        raise SingularE("lumped E is singular; simulation is refused")
-    e_inv = ratmat.inv(e)
     n, m_u, m_y = nds.m_x, nds.m_u, nds.m_y
-    a = np.asarray(ratmat.to_float(
-        ratmat.matmul(e_inv, ratmat.thaw(model.A_hat)))).reshape(n, n)
-    b = np.asarray(ratmat.to_float(
-        ratmat.matmul(e_inv, ratmat.thaw(model.B_hat)))).reshape(n, m_u)
+    try:
+        ab = ratmat.solve(ratmat.thaw(model.E_hat), ratmat.hstack(
+            ratmat.thaw(model.A_hat), ratmat.thaw(model.B_hat)))
+    except ratmat.SingularMatrixError as exc:
+        raise SingularE("lumped E is singular; simulation is refused") \
+            from exc
+    a = np.asarray(ratmat.to_float([r[:n] for r in ab])).reshape(n, n)
+    b = np.asarray(ratmat.to_float([r[n:] for r in ab])).reshape(n, m_u)
     c = np.asarray(ratmat.to_float(ratmat.thaw(model.C_hat))).reshape(m_y, n)
     d = np.asarray(ratmat.to_float(ratmat.thaw(model.D_hat))).reshape(m_y, m_u)
     return FloatRealization(a=a, b=b, c=c, d=d, domain=nds.time_domain)

@@ -200,6 +200,112 @@ def feedback_tfm(nds, phi) -> RatFunMat:
                             block("G_zu"))
 
 
+# ------------------------------------------------- linear-algebra oracles
+# Textbook field elimination (one division per pivot row, one multiply and
+# subtract per entry), the reference for ndscope.ratmat's fraction-free
+# integer kernels.  Over Q pass Fractions: ints would divide to floats.
+
+
+def field_rref(m, cols=None):
+    """Gauss-Jordan RREF over any exact field: (rref_matrix, pivots)."""
+    a = [list(row) for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if a else (cols or 0)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, nrows) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        inv = Fraction(1) / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
+def field_rank(m, cols=None):
+    return len(field_rref(m, cols)[1])
+
+
+def field_det(m):
+    """Determinant by forward elimination over any exact field."""
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    a = [list(row) for row in m]
+    out = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            out = -out
+        piv = a[c][c]
+        out *= piv
+        for i in range(c + 1, n):
+            if a[i][c]:
+                f = a[i][c] / piv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return out
+
+
+def field_null_space(m, cols=None):
+    """Right null basis in reduced column echelon form (ratmat's canon)."""
+    ncols = len(m[0]) if m else (cols or 0)
+    r, pivots = field_rref(m, cols=ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -r[i][fc]
+        basis.append(v)
+    if not basis:
+        return [[] for _ in range(ncols)]
+    canon = [row for row in field_rref(basis)[0] if any(x != 0 for x in row)]
+    return rm.transpose(canon, cols=ncols)
+
+
+def field_left_null_space(m, cols=None):
+    base = field_null_space(rm.transpose(m, cols=cols), cols=len(m))
+    return rm.transpose(base, cols=len(base))
+
+
+def field_solve(a, b):
+    """x with a @ x = b, or None when the square a is singular."""
+    n = len(a)
+    r, pivots = field_rref([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in r]
+
+
+def field_inv(m):
+    return field_solve(m, rm.identity(len(m)))
+
+
+def field_matmul(a, b):
+    """a @ b by the textbook triple loop over any exact field."""
+    cb = len(b[0]) if b else 0
+    out = [[Fraction(0)] * cb for _ in a]
+    for i, row in enumerate(a):
+        for t, x in enumerate(row):
+            if x:
+                for j in range(cb):
+                    if b[t][j]:
+                        out[i][j] += x * b[t][j]
+    return out
+
+
 # ------------------------------------------------- simulation oracles
 # The sample-by-sample forms that ndscope.sim replaces with block and
 # lane vectorized kernels.

@@ -502,7 +502,7 @@ class TestOneScreening:
         import ndscope.sim as sim
         from ndscope.fixtures import PHI0, PHI_DIFF, SWEEP_DIRECTIONS, demo_nds
 
-        calls = {"lump": [], "tfm": [], "regular": []}
+        calls = {"lump": [], "tfm": [], "regular": [], "well_posed": []}
 
         def counted(name, fn):
             def wrapper(nds, phi):
@@ -513,6 +513,13 @@ class TestOneScreening:
                             counted("lump", sim._lumped_float))
         monkeypatch.setattr(sim, "check_nds_regular",
                             counted("regular", sim.check_nds_regular))
+        # counted wherever ndscope imports it: lump must not test
+        # well-posedness again after the screen did
+        import ndscope.reconstruction as reconstruction
+        well_posed = counted("well_posed", sim.check_well_posed)
+        for mod in (sim, reconstruction):
+            monkeypatch.setattr(mod, "check_well_posed", well_posed,
+                                raising=False)
         tfm = counted("tfm", sim.exact_tfm)
         for mod in (sim, cli):
             monkeypatch.setattr(mod, "exact_tfm", tfm)
@@ -531,6 +538,7 @@ class TestOneScreening:
                               "--out-dir", str(tmp_path / "sweep")])
         assert code == 0
         assert (len(calls["lump"]), len(calls["tfm"])) == (4, 4)
+        assert len(calls["well_posed"]) == 4
 
         # simulate lumps each SCM once
         reset()
@@ -540,6 +548,7 @@ class TestOneScreening:
         assert code == 0
         assert [p.entries for p in calls["lump"]] == \
             [PHI0.entries, PHI_DIFF.entries]
+        assert len(calls["well_posed"]) == 2
 
         # the spot scan: one regularity test, lump and exact TFM per tau
         # (tau = 1.1 is skipped as unstable), H(Phi0) once
@@ -548,5 +557,6 @@ class TestOneScreening:
         spot = cli._spot_value_scan(demo_nds(), phi0, SWEEP_DIRECTIONS[0])
         assert spot["argmax_tau"] == str(Fraction(6, 5))
         assert (len(calls["regular"]), len(calls["lump"])) == (201, 201)
+        assert len(calls["well_posed"]) == 201
         assert sum(p is phi0 for p in calls["tfm"]) == 1
         assert len(calls["tfm"]) == 200 + 2     # kept rows, H(Phi0), graze

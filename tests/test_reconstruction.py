@@ -163,6 +163,69 @@ class TestConsistency:
             check_consistency(nds, model)
 
 
+def scalar_loop_nds():
+    """One subsystem with D_zv = 1, K = col{1, 0} FCR and L = [1 0] FRR."""
+    one, zero = ((F(1),),), ((F(0),),)
+    sub = SubsystemRealization(
+        E=one, A_xx=((F(-1),),), B_xv=one, B_xu=one, C_zx=one, C_yx=one,
+        D_zv=one, D_zu=zero, D_yv=zero, D_yu=zero)
+    return NdsDefinition(subsystems=(sub,))
+
+
+def model_with_h_m(nds, h):
+    """Lumped model whose deviation from the Phi = 0 model is K h L, so
+    that check_consistency finds H_m = h."""
+    k = rm.vstack(nds.block("B_xv"), nds.block("D_yv"))
+    latch = rm.hstack(nds.block("C_zx"), nds.block("D_zu"))
+    base = rm.vstack(rm.hstack(nds.block("A_xx"), nds.block("B_xu")),
+                     rm.hstack(nds.block("C_yx"), nds.block("D_yu")))
+    full = rm.add(base, rm.matmul(rm.matmul(k, h), latch))
+    m_x = nds.m_x
+    return LumpedModel(
+        E_hat=rm.freeze(nds.block("E")),
+        A_hat=rm.freeze([row[:m_x] for row in full[:m_x]]),
+        B_hat=rm.freeze([row[m_x:] for row in full[:m_x]]),
+        C_hat=rm.freeze([row[:m_x] for row in full[m_x:]]),
+        D_hat=rm.freeze([row[m_x:] for row in full[m_x:]]))
+
+
+class TestRecoveryMatrix:
+    """W = I + H_m D_zv.  A left null vector y of W has y = -y H_m D_zv,
+    so cond_hm (y H_m = 0) forces y = 0: cond_hm holds iff W is
+    nonsingular."""
+
+    def test_singular_w_fails_cond_hm(self):
+        nds = scalar_loop_nds()
+        model = model_with_h_m(nds, [[F(-1)]])      # W = 1 - 1 = 0
+        rep = check_consistency(nds, model)
+        assert rep.H_m == [[F(-1)]]
+        assert rep.cond_left and rep.cond_right
+        assert not rep.cond_hm and not rep.recovery_unique
+        assert not rep.consistent
+        with pytest.raises(Inconsistent):
+            recover_scm(nds, model)
+
+    def test_nonsingular_w_recovers(self):
+        # H_m = 1/2 is Pi = (1 - Phi)^-1 Phi at Phi = 1/3
+        nds = scalar_loop_nds()
+        model = model_with_h_m(nds, [[F(1, 2)]])
+        assert model == lump(nds, SCMatrix.from_rows([["1/3"]]))
+        rep = check_consistency(nds, model)
+        assert rep.cond_hm and rep.recovery_unique and rep.consistent
+        assert recover_scm(nds, model).entries == ((F(1, 3),),)
+
+    def test_two_by_two_w(self):
+        # the demo's first subsystem: D_zv = [0 -1], so
+        # W = [[1, -h_1], [0, 1 - h_2]] is singular iff h_2 = 1
+        nds = NdsDefinition(subsystems=(demo_nds().subsystems[0],))
+        for h, singular in (([[F(0)], [F(1)]], True),
+                            ([[F(5, 2)], [F(1)]], True),
+                            ([[F(3)], [F(-2)]], False)):
+            rep = check_consistency(nds, model_with_h_m(nds, h))
+            assert rep.H_m == h
+            assert rep.cond_hm == rep.recovery_unique == (not singular)
+
+
 class TestRecovery:
     def test_fixture_round_trips(self):
         nds = demo_nds()
