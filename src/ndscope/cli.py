@@ -28,13 +28,13 @@ from .identifiability import (
 )
 from .model import (
     DimensionError, KnownEntries, NotRegular, NotWellPosed, SCMatrix,
-    SchemaError, nds_tfm, parse_constraints, parse_model, parse_rat,
-    tfm_equal,
+    SchemaError, _parse_matrix, _rows, nds_tfm, parse_constraints,
+    parse_model, tfm_equal,
 )
 from .polymat import ShapeError
 from .reconstruction import (
-    Inconsistent, LumpedModel, NotReconstructible, SingularRecovery,
-    check_consistency, check_reconstructible, lump, recover_scm,
+    Inconsistent, LumpedModel, NotReconstructible, check_consistency,
+    check_reconstructible, lump, recover_scm,
 )
 from .sim import (
     NoConvergence, SimConfig, SingularE, TooManySamples, Unstable,
@@ -209,17 +209,18 @@ def cmd_region(args) -> int:
 def _load_lumped(path, nds) -> LumpedModel:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    for key in ("A", "B", "C", "D"):
+    if not isinstance(doc, dict):
+        raise SchemaError("lumped model file must be a JSON object")
+    shapes = {"A": (nds.m_x, nds.m_x), "B": (nds.m_x, nds.m_u),
+              "C": (nds.m_y, nds.m_x), "D": (nds.m_y, nds.m_u)}
+    parsed = {}
+    for key, (rows, cols) in shapes.items():
         if key not in doc:
             raise SchemaError(f"lumped model file is missing {key!r}")
-
-    def parse(rows):
-        return ratmat.freeze([[parse_rat(x) for x in r] for r in rows])
-
-    return LumpedModel(
-        E_hat=ratmat.freeze(nds.block("E")),
-        A_hat=parse(doc["A"]), B_hat=parse(doc["B"]),
-        C_hat=parse(doc["C"]), D_hat=parse(doc["D"]))
+        name = f"lumped {key}"
+        parsed[key + "_hat"] = _parse_matrix(_rows(doc[key], name),
+                                             rows, cols, name)
+    return LumpedModel(E_hat=ratmat.freeze(nds.block("E")), **parsed)
 
 
 def cmd_reconstruct(args) -> int:
@@ -644,7 +645,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (NoConvergence, SingularRecovery, TooManySamples) as exc:
+    except (NoConvergence, TooManySamples) as exc:
         emit({"command": args.command, "ok": False, "error": str(exc),
               "result": {}, "artifacts": []})
         return 3

@@ -1,15 +1,31 @@
 """SCM reconstruction from a lumped descriptor model of the whole NDS.
 
 Well-posed interconnections collapse into one descriptor model whose
-system matrix is an affine function of Pi = (I - Phi D_zv)^-1 Phi.  The
-per-subsystem matrices K = col{B_xv, D_yv} and L = [C_zx  D_zu] decide
-whether Pi (and hence Phi) can be recovered from that model: K must have
-full column rank and L full row rank.  All algebra here is exact.
+system matrix is [A B; C D] = base + K Pi L, with Pi = (I - Phi D_zv)^-1
+Phi, base = [A_xx B_xu; C_yx D_yu], K = col{B_xv, D_yv} and
+L = [C_zx  D_zu].  Pi (and hence Phi) can be recovered from that model
+iff K has full column rank and L full row rank.  All algebra here is
+exact, and runs on subsystem blocks.  Let R_i be the x_i and y_i rows of
+[A B; C D], C_i its x_i and u_i columns, and v_i, z_i the rows and
+columns of Phi of subsystem i.  K is block-diagonal up to a row
+permutation, with blocks K_i = col{B_xv_i, D_yv_i} on R_i x v_i, L up to
+a column permutation, with blocks L_j = [C_zx_j  D_zu_j] on z_j x C_j,
+and base is nonzero only on the R_i x C_i.  Hence:
+
+* (K Pi L)[:, C_j] = (K Pi)[:, z_j] L_j, with (K Pi)[R_i, :] = K_i Pi[v_i, :].
+* K^T K is block-diagonal, so the Moore-Penrose estimate of Pi from the
+  deviation E_d = [A B; C D] - base, H_m = (K^T K)^-1 K^T E_d L^T
+  (L L^T)^-1, has the blocks H_m[v_i, z_j] = K_i^+ E_d[R_i, C_j] L_j^+,
+  with K_i^+ = (K_i^T K_i)^-1 K_i^T and L_j^+ = L_j^T (L_j L_j^T)^-1.
+* E_d = K X L for some X iff K_i_perp E_d[R_i, :] = 0 for every i
+  (cond_left) and E_d[:, C_j] L_j_perp = 0 for every j (cond_right),
+  with K_i_perp a left and L_j_perp a right null basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from . import ratmat
 from .model import (
@@ -25,10 +41,6 @@ class NotReconstructible(ArithmeticError):
 
 class Inconsistent(ArithmeticError):
     """The candidate model cannot be realized by any SCM."""
-
-
-class SingularRecovery(ArithmeticError):
-    """I + H_m D_zv singular although the consistency conditions held."""
 
 
 @dataclass(frozen=True)
@@ -50,6 +62,13 @@ class ReconReport:
 
 @dataclass
 class ConsistencyReport:
+    """The test of the module docstring.  H_m is X when E_d = K X L.
+    With W = I + H_m D_zv, cond_hm is rank [W | H_m] = rank W and
+    recovery_unique is rank W = m_v: one flag, since
+    [W | H_m] [[I, 0], [-D_zv, I]] = [I | H_m] has rank m_v.  The
+    residuals stack the K_i_perp E_d[R_i, :] and set the
+    E_d[:, C_j] L_j_perp side by side; no caller reads them."""
+
     cond_left: bool
     cond_right: bool
     cond_hm: bool
@@ -60,15 +79,54 @@ class ConsistencyReport:
     residual_right: list | None = None
 
 
-def _gain(nds: NdsDefinition, phi: SCMatrix):
-    """(I - Phi D_zv)^-1 Phi, the lumping gain."""
-    d_zv = nds.block("D_zv")
-    w = ratmat.sub(ratmat.identity(nds.m_v),
-                   ratmat.matmul(phi.as_lists(), d_zv))
-    try:
-        return ratmat.solve(w, phi.as_lists())
-    except ratmat.SingularMatrixError as exc:
-        raise NotWellPosed("I - Phi D_zv is singular") from exc
+def _ports(nds: NdsDefinition):
+    """(sub, R_i, C_i, v_i, z_i) per subsystem (module docstring)."""
+    m_x, out = nds.m_x, []
+    x = y = u = v = z = 0
+    for s in nds.subsystems:
+        out.append((s,
+                    [*range(x, x + s.n_x), *range(m_x + y, m_x + y + s.n_y)],
+                    [*range(x, x + s.n_x), *range(m_x + u, m_x + u + s.n_u)],
+                    range(v, v + s.n_v), range(z, z + s.n_z)))
+        x, y, u = x + s.n_x, y + s.n_y, u + s.n_u
+        v, z = v + s.n_v, z + s.n_z
+    return out
+
+
+def _block_left(terms, m, nrows):
+    """P m for a P that is block-diagonal up to permutations, given as
+    (P_i, src_i, dst_i): rows dst_i of P m are P_i m[src_i, :]."""
+    out = [None] * nrows
+    for p, src, dst in terms:
+        block = ratmat.matmul(p, [m[r] for r in src], inner=len(src))
+        for r, row in zip(dst, block):
+            out[r] = row
+    return out
+
+
+def _block_right(m, terms, ncols):
+    """m Q for such a Q given as (Q_j, src_j, dst_j): columns dst_j of
+    m Q are m[:, src_j] Q_j."""
+    t = [(ratmat.transpose(q), src, dst) for q, src, dst in terms]
+    return ratmat.transpose(_block_left(t, ratmat.transpose(m), ncols),
+                            cols=len(m))
+
+
+def _shift_base(ports, m, op):
+    """m[R_i, C_i] = op(m[R_i, C_i], base_i) in place for every subsystem,
+    with base_i = [A_xx_i B_xu_i; C_yx_i D_yu_i]."""
+    for s, rows, cols, _, _ in ports:
+        base = ratmat.vstack(ratmat.hstack(s.A_xx, s.B_xu),
+                             ratmat.hstack(s.C_yx, s.D_yu))
+        for r, brow in zip(rows, base):
+            row = m[r]
+            for c, x in zip(cols, brow):
+                row[c] = op(row[c], x)
+
+
+def _times_d_zv(nds, ports, m):
+    return _block_right(m, [(s.D_zv, z, v) for s, _, _, v, z in ports],
+                        nds.m_v)
 
 
 def lump(nds: NdsDefinition, phi: SCMatrix) -> LumpedModel:
@@ -76,14 +134,20 @@ def lump(nds: NdsDefinition, phi: SCMatrix) -> LumpedModel:
 
     Raises NotWellPosed when I - Phi D_zv is singular."""
     phi.check_shape(nds)
-    gain = _gain(nds, phi)
-    k = ratmat.vstack(nds.block("B_xv"), nds.block("D_yv"))
-    latch = ratmat.hstack(nds.block("C_zx"), nds.block("D_zu"))
-    base = ratmat.vstack(
-        ratmat.hstack(nds.block("A_xx"), nds.block("B_xu")),
-        ratmat.hstack(nds.block("C_yx"), nds.block("D_yu")))
-    full = ratmat.add(base, ratmat.matmul(ratmat.matmul(k, gain), latch))
+    ports = _ports(nds)
+    w = ratmat.sub(ratmat.identity(nds.m_v),
+                   _times_d_zv(nds, ports, phi.as_lists()))
+    try:
+        gain = ratmat.solve(w, phi.as_lists())     # (I - Phi D_zv)^-1 Phi
+    except ratmat.SingularMatrixError as exc:
+        raise NotWellPosed("I - Phi D_zv is singular") from exc
     m_x, m_u = nds.m_x, nds.m_u
+    k_gain = _block_left([(_k_matrix(s), v, rows)
+                          for s, rows, _, v, _ in ports],
+                         gain, m_x + nds.m_y)
+    full = _block_right(k_gain, [(_l_matrix(s), z, cols)
+                                 for s, _, cols, _, z in ports], m_x + m_u)
+    _shift_base(ports, full, add)
     return LumpedModel(
         E_hat=ratmat.freeze(nds.block("E")),
         A_hat=ratmat.freeze([row[:m_x] for row in full[:m_x]]),
@@ -129,67 +193,64 @@ def check_reconstructible(nds: NdsDefinition) -> ReconReport:
                                            for p in per))
 
 
-def _model_deviation(nds: NdsDefinition, model: LumpedModel):
-    m_x, m_u = nds.m_x, nds.m_u
-    m_y = nds.m_y
-    a = ratmat.thaw(model.A_hat)
-    b = ratmat.thaw(model.B_hat)
-    c = ratmat.thaw(model.C_hat)
-    d = ratmat.thaw(model.D_hat)
-    if ratmat.shape(a) != (m_x, m_x) or ratmat.shape(b) != (m_x, m_u):
-        raise ShapeError("lumped A/B shapes do not match the NDS")
-    if len(c) != m_y or (m_y and len(c[0]) != m_x):
-        raise ShapeError("lumped C shape does not match the NDS")
-    if len(d) != m_y or (m_y and m_u and len(d[0]) != m_u):
-        raise ShapeError("lumped D shape does not match the NDS")
-    cand = ratmat.vstack(ratmat.hstack(a, b), ratmat.hstack(c, d))
-    base = ratmat.vstack(
-        ratmat.hstack(nds.block("A_xx"), nds.block("B_xu")),
-        ratmat.hstack(nds.block("C_yx"), nds.block("D_yu")))
-    return ratmat.sub(cand, base)
+def _model_deviation(nds: NdsDefinition, model: LumpedModel, ports):
+    """E_d = [A B; C D] - base, after a shape check of every row."""
+    m_x, m_u, m_y = nds.m_x, nds.m_u, nds.m_y
+    for name, rows, cols in (("A", m_x, m_x), ("B", m_x, m_u),
+                             ("C", m_y, m_x), ("D", m_y, m_u)):
+        m = getattr(model, name + "_hat")
+        if len(m) != rows or any(len(row) != cols for row in m):
+            raise ShapeError(
+                f"lumped {name} must be {rows}x{cols} to match the NDS")
+    e_d = [list(ra) + list(rb) for ra, rb in zip(model.A_hat, model.B_hat)]
+    e_d += [list(rc) + list(rd) for rc, rd in zip(model.C_hat, model.D_hat)]
+    _shift_base(ports, e_d, sub)
+    return e_d
 
 
-def _recovery_matrix(nds: NdsDefinition, h_m):
-    """W = I + H_m D_zv; Phi = W^-1 H_m."""
-    return ratmat.add(ratmat.identity(nds.m_v),
-                      ratmat.matmul(h_m, nds.block("D_zv")))
+def _consistency(nds: NdsDefinition, model: LumpedModel):
+    """(ConsistencyReport, W): the one consistency pass behind
+    ``check_consistency`` and ``recover_scm``."""
+    if not check_reconstructible(nds).reconstructible:
+        raise NotReconstructible(
+            "K must be FCR and L must be FRR for the consistency test")
+    if ratmat.thaw(model.E_hat) != nds.block("E"):
+        raise ShapeError("lumped E must equal the block-diagonal E exactly")
+    ports = _ports(nds)
+    e_d = _model_deviation(nds, model, ports)
+    e_t = ratmat.transpose(e_d)
+    res_left, res_right_t, k_plus, l_plus = [], [], [], []
+    for s, rows, cols, v, z in ports:
+        k, latch = _k_matrix(s), _l_matrix(s)
+        res_left += ratmat.matmul(ratmat.left_null_space(k, cols=s.n_v),
+                                  [e_d[r] for r in rows], inner=len(rows))
+        res_right_t += ratmat.matmul(
+            ratmat.transpose(ratmat.null_space(latch)),
+            [e_t[c] for c in cols], inner=len(cols))
+        k_t = ratmat.transpose(k)
+        k_plus.append((ratmat.solve(ratmat.matmul(k_t, k), k_t), rows, v))
+        # (L_j L_j^T)^-1 L_j is the transpose of L_j^+
+        l_plus_t = ratmat.solve(
+            ratmat.matmul(latch, ratmat.transpose(latch)), latch)
+        l_plus.append((ratmat.transpose(l_plus_t), cols, z))
+    h_m = _block_right(_block_left(k_plus, e_d, nds.m_v), l_plus, nds.m_z)
+    w = ratmat.add(ratmat.identity(nds.m_v), _times_d_zv(nds, ports, h_m))
+    # cond_hm and uniqueness are both rank W = m_v (ConsistencyReport)
+    unique = ratmat.rank(w) == nds.m_v
+    cond_left = ratmat.is_zero(res_left)
+    cond_right = ratmat.is_zero(res_right_t)
+    report = ConsistencyReport(
+        cond_left=cond_left, cond_right=cond_right, cond_hm=unique,
+        H_m=h_m, consistent=cond_left and cond_right and unique,
+        recovery_unique=unique, residual_left=res_left,
+        residual_right=ratmat.transpose(res_right_t, cols=len(e_d)))
+    return report, w
 
 
 def check_consistency(nds: NdsDefinition,
                       model: LumpedModel) -> ConsistencyReport:
     """Can any SCM produce this lumped model?  Exact three-part test."""
-    rec = check_reconstructible(nds)
-    if not rec.reconstructible:
-        raise NotReconstructible(
-            "K must be FCR and L must be FRR for the consistency test")
-    if ratmat.thaw(model.E_hat) != nds.block("E"):
-        raise ShapeError("lumped E must equal the block-diagonal E exactly")
-    e_d = _model_deviation(nds, model)
-    k = ratmat.vstack(nds.block("B_xv"), nds.block("D_yv"))
-    latch = ratmat.hstack(nds.block("C_zx"), nds.block("D_zu"))
-    k_perp = ratmat.left_null_space(k, cols=nds.m_v)
-    l_perp = ratmat.null_space(latch)
-    res_left = ratmat.matmul(k_perp, e_d, inner=len(e_d))
-    res_right = ratmat.matmul(e_d, l_perp, inner=len(l_perp))
-    cond_left = ratmat.is_zero(res_left)
-    cond_right = ratmat.is_zero(res_right)
-    ktk_inv = ratmat.inv(ratmat.matmul(ratmat.transpose(k), k))
-    llt_inv = ratmat.inv(ratmat.matmul(latch, ratmat.transpose(latch)))
-    h_m = ratmat.matmul(
-        ratmat.matmul(ktk_inv, ratmat.transpose(k)),
-        ratmat.matmul(ratmat.matmul(e_d, ratmat.transpose(latch)), llt_inv))
-    # one elimination of [W | H_m], W = I + H_m D_zv: cond_hm is
-    # rank [W | H_m] = rank W, uniqueness is rank W = m_v
-    w = _recovery_matrix(nds, h_m)
-    pivots = ratmat.rref(ratmat.hstack(w, h_m), cols=nds.m_v + nds.m_z)[1]
-    rank_w = sum(c < nds.m_v for c in pivots)
-    cond_hm = rank_w == len(pivots)
-    unique = rank_w == nds.m_v
-    return ConsistencyReport(
-        cond_left=cond_left, cond_right=cond_right, cond_hm=cond_hm,
-        H_m=h_m, consistent=cond_left and cond_right and cond_hm,
-        recovery_unique=unique,
-        residual_left=res_left, residual_right=res_right)
+    return _consistency(nds, model)[0]
 
 
 def lumped_tfm(model: LumpedModel) -> RatFunMat:
@@ -199,13 +260,11 @@ def lumped_tfm(model: LumpedModel) -> RatFunMat:
 
 
 def recover_scm(nds: NdsDefinition, model: LumpedModel) -> SCMatrix:
-    """Exact SCM recovery Phi = (I + H_m D_zv)^-1 H_m."""
-    report = check_consistency(nds, model)
+    """Exact SCM recovery Phi = W^-1 H_m, W = I + H_m D_zv.
+
+    A consistent model has cond_hm, which is rank W = m_v
+    (ConsistencyReport): W is nonsingular, so the solve cannot fail."""
+    report, w = _consistency(nds, model)
     if not report.consistent:
         raise Inconsistent("model is not consistent with the NDS structure")
-    try:
-        phi = ratmat.solve(_recovery_matrix(nds, report.H_m), report.H_m)
-    except ratmat.SingularMatrixError as exc:
-        raise SingularRecovery(
-            "I + H_m D_zv is singular despite a consistent model") from exc
-    return SCMatrix(ratmat.freeze(phi))
+    return SCMatrix(ratmat.freeze(ratmat.solve_certified(w, report.H_m)))

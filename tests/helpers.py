@@ -306,6 +306,42 @@ def field_matmul(a, b):
     return out
 
 
+# ------------------------------------------------- recovery oracle
+# The dense route that ndscope.reconstruction replaced with subsystem
+# blocks: the stacked K and L, two explicit inverses, null spaces of the
+# whole K and L and one elimination of [W | H_m].
+
+
+def dense_consistency(nds, model):
+    """(H_m, cond_left, cond_right, cond_hm, recovery_unique, Phi) of the
+    dense route; Phi is None unless the model is consistent."""
+    cand = [list(ra) + list(rb) for ra, rb in zip(model.A_hat, model.B_hat)]
+    cand += [list(rc) + list(rd) for rc, rd in zip(model.C_hat, model.D_hat)]
+    base = rm.vstack(rm.hstack(nds.block("A_xx"), nds.block("B_xu")),
+                     rm.hstack(nds.block("C_yx"), nds.block("D_yu")))
+    assert len(cand) == len(base) and len(cand[0]) == len(base[0])
+    e_d = rm.sub(cand, base)
+    k = rm.vstack(nds.block("B_xv"), nds.block("D_yv"))
+    latch = rm.hstack(nds.block("C_zx"), nds.block("D_zu"))
+    k_perp = rm.left_null_space(k, cols=nds.m_v)
+    l_perp = rm.null_space(latch)
+    cond_left = rm.is_zero(rm.matmul(k_perp, e_d, inner=len(e_d)))
+    cond_right = rm.is_zero(rm.matmul(e_d, l_perp, inner=len(l_perp)))
+    ktk_inv = rm.inv(rm.matmul(rm.transpose(k), k))
+    llt_inv = rm.inv(rm.matmul(latch, rm.transpose(latch)))
+    h_m = rm.matmul(rm.matmul(ktk_inv, rm.transpose(k)),
+                    rm.matmul(rm.matmul(e_d, rm.transpose(latch)), llt_inv))
+    w = rm.add(rm.identity(nds.m_v), rm.matmul(h_m, nds.block("D_zv")))
+    pivots = rm.rref(rm.hstack(w, h_m), cols=nds.m_v + nds.m_z)[1]
+    rank_w = sum(c < nds.m_v for c in pivots)
+    cond_hm = rank_w == len(pivots)
+    unique = rank_w == nds.m_v
+    phi = None
+    if cond_left and cond_right and cond_hm:
+        phi = rm.solve(w, h_m)
+    return h_m, cond_left, cond_right, cond_hm, unique, phi
+
+
 # ------------------------------------------------- simulation oracles
 # The sample-by-sample forms that ndscope.sim replaces with block and
 # lane vectorized kernels.

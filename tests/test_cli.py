@@ -297,6 +297,42 @@ class TestReconstructAndLump:
         assert code == 2
 
 
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc["B"][1].append("1"),        # once cut off by zip
+        lambda doc: doc["D"][1].append("1"),
+        lambda doc: doc["A"][3].pop(),              # once an IndexError
+        lambda doc: doc["C"][1].pop(),
+        lambda doc: doc.update(A=5),                # once a TypeError
+        lambda doc: doc.update(B=[["0", "0"], 7, ["0", "0"], ["0", "0"]]),
+        lambda doc: doc.update(C=[["1", "-1", "0", "0"]]),
+        lambda doc: doc.pop("D"),
+    ], ids=["B row 2 long", "D row 2 long", "A row 4 short",
+            "C row 2 short", "A not rows", "B row not a list",
+            "C rows missing", "D missing"])
+    def test_malformed_lumped_exit_2(self, model_path, tmp_path, schema,
+                                     mutate):
+        _, doc = run_json(["lump", model_path, "--scm", PHI_EQ_INLINE],
+                          schema)
+        lumped = {k: doc["result"]["lumped"][k] for k in "ABCD"}
+        mutate(lumped)
+        lpath = tmp_path / "bad.json"
+        lpath.write_text(json.dumps(lumped))
+        code, doc = run_json(
+            ["reconstruct", model_path, "--lumped", str(lpath)], schema)
+        assert code == 2
+        assert doc["error"].split(":")[0] in ("SchemaError", "DimensionError")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", '"ABCD"'])
+    def test_lumped_file_not_an_object_exit_2(self, model_path, tmp_path,
+                                              schema, text):
+        lpath = tmp_path / "bad.json"
+        lpath.write_text(text)
+        code, doc = run_json(
+            ["reconstruct", model_path, "--lumped", str(lpath)], schema)
+        assert code == 2
+        assert doc["error"].startswith("SchemaError")
+
+
 class TestSimulateCmd:
     def test_equivalent_pair(self, model_path, tmp_path, schema):
         out = str(tmp_path / "sim")

@@ -209,3 +209,78 @@ class TestFullRankCertificate:
             ints, _ = rm._cleared(m)
             assert rm._full_rank_mod_p(ints, cols)
             assert rm.rank(m) == min(rows, cols)
+
+
+class TestCertifiedSolve:
+    """solve_certified equals field_solve; ``fallbacks`` counts the calls
+    it hands to ratmat.solve."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rm, "solve", lambda a, b, _f=rm.solve:
+                            calls.append(1) or _f(a, b))
+        return calls
+
+    def test_small_solutions_need_no_fallback(self, fallbacks):
+        rng = random.Random(41)
+        for _ in range(30):
+            n, k = rng.randint(0, 6), rng.randint(0, 3)
+            a = rand_matrix(rng, n, n, density=1.0)
+            x = [[F(rng.randint(-99, 99), rng.randint(1, 99))
+                  for _ in range(k)] for _ in range(n)]
+            b = field_matmul(a, x)
+            if field_solve(a, b) is None:
+                continue
+            got = rm.solve_certified(a, b)
+            assert got == field_solve(a, b) == x
+            assert all(type(v) is F for row in got for v in row)
+        assert not fallbacks
+
+    def test_random_against_oracle(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            n, k = rng.randint(1, 6), rng.randint(0, 3)
+            a = rand_matrix(rng, n, n, density=0.6)
+            b = rand_matrix(rng, n, k)
+            want = field_solve(a, b)
+            if want is None:
+                with pytest.raises(rm.SingularMatrixError):
+                    rm.solve_certified(a, b)
+            else:
+                assert rm.solve_certified(a, b) == want
+
+    @pytest.mark.parametrize("a,b", [
+        ([[P]], [[1]]),
+        ([[1, 1], [1, 1 + P]], [[1, 0], [0, 1]]),
+        ([[F(P, 3), 1], [0, 1]], [[2], [F(1, 2)]]),
+    ])
+    def test_singular_mod_p(self, a, b, fallbacks):
+        assert rm.solve_certified(a, b) == field_solve(a, b)
+        assert len(fallbacks) == 1
+
+    def test_beyond_lift_bound(self, fallbacks):
+        rng = random.Random(47)
+        a = rand_matrix(rng, 4, 4, density=1.0)
+        x = [[F(rng.randint(1, 2 ** 20), 2 ** 40 + rng.randint(1, 99))
+              for _ in range(2)] for _ in range(4)]
+        assert rm.solve_certified(a, field_matmul(a, x)) == x
+        assert len(fallbacks) == 1
+
+    def test_wrong_lift_caught_by_exact_product(self, fallbacks):
+        # x = P + 1 is 1 mod P: the lift 1 fails a x = b over Q
+        assert rm.solve_certified([[1]], [[P + 1]]) == [[F(P + 1)]]
+        assert len(fallbacks) == 1
+
+    @pytest.mark.parametrize("a", [[[0]], [[1, 2], [2, 4]],
+                                   [[1, 0, 1], [0, 1, 1], [1, 1, 2]]])
+    def test_singular_raises(self, a):
+        with pytest.raises(rm.SingularMatrixError):
+            rm.solve_certified(a, [[1] for _ in a])
+
+    def test_zero_columns(self, fallbacks):
+        a = [[F(1), F(2)], [F(3), F(5)]]
+        want = rm.solve(a, [[], []])
+        assert rm.solve_certified(a, [[], []]) == [[], []] == want
+        assert rm.solve_certified([], []) == []
+        assert len(fallbacks) == 1     # the direct call above

@@ -1,14 +1,20 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 import ndscope.ratmat as rm
-from helpers import feedback_tfm, rand_reconstructible_nds, rand_wellposed_scm
+import ndscope.reconstruction as recon
+from helpers import (
+    dense_consistency, feedback_tfm, rand_mat, rand_reconstructible_nds,
+    rand_subsystem, rand_wellposed_scm,
+)
 from ndscope.fixtures import PHI0, PHI_DIFF, PHI_EQUIV, demo_nds
 from ndscope.model import (
-    NdsDefinition, NotWellPosed, SCMatrix, SubsystemRealization, tfm_equal,
+    NdsDefinition, NotWellPosed, SCMatrix, SubsystemRealization,
+    check_well_posed, tfm_equal,
 )
 from ndscope.polymat import ShapeError
 from ndscope.reconstruction import (
@@ -150,6 +156,18 @@ class TestConsistency:
         with pytest.raises(ShapeError):
             check_consistency(nds, wrong)
 
+    @pytest.mark.parametrize("name,row,change", [
+        ("B_hat", 1, lambda r: r + (F(1),)), ("D_hat", 1, lambda r: r[:-1]),
+        ("A_hat", 3, lambda r: r[:-1]), ("C_hat", 1, lambda r: r + r)])
+    def test_every_row_shape_checked(self, name, row, change):
+        nds = demo_nds()
+        model = lump(nds, PHI0)
+        rows = list(getattr(model, name))
+        rows[row] = change(rows[row])
+        bad = LumpedModel(**{**model.__dict__, name: tuple(rows)})
+        with pytest.raises(ShapeError):
+            check_consistency(nds, bad)
+
     def test_not_reconstructible_rejected(self):
         sub = demo_nds().subsystems[0]
         zero_bxv = tuple(tuple(F(0) for _ in row) for row in sub.B_xv)
@@ -172,14 +190,16 @@ def scalar_loop_nds():
     return NdsDefinition(subsystems=(sub,))
 
 
-def model_with_h_m(nds, h):
-    """Lumped model whose deviation from the Phi = 0 model is K h L, so
-    that check_consistency finds H_m = h."""
-    k = rm.vstack(nds.block("B_xv"), nds.block("D_yv"))
-    latch = rm.hstack(nds.block("C_zx"), nds.block("D_zu"))
+def dense_k_l(nds):
+    return (rm.vstack(nds.block("B_xv"), nds.block("D_yv")),
+            rm.hstack(nds.block("C_zx"), nds.block("D_zu")))
+
+
+def model_with_deviation(nds, dev):
+    """Lumped model that deviates from the Phi = 0 model by ``dev``."""
     base = rm.vstack(rm.hstack(nds.block("A_xx"), nds.block("B_xu")),
                      rm.hstack(nds.block("C_yx"), nds.block("D_yu")))
-    full = rm.add(base, rm.matmul(rm.matmul(k, h), latch))
+    full = rm.add(base, dev)
     m_x = nds.m_x
     return LumpedModel(
         E_hat=rm.freeze(nds.block("E")),
@@ -187,6 +207,13 @@ def model_with_h_m(nds, h):
         B_hat=rm.freeze([row[m_x:] for row in full[:m_x]]),
         C_hat=rm.freeze([row[:m_x] for row in full[m_x:]]),
         D_hat=rm.freeze([row[m_x:] for row in full[m_x:]]))
+
+
+def model_with_h_m(nds, h):
+    """Lumped model whose deviation from the Phi = 0 model is K h L, so
+    that check_consistency finds H_m = h."""
+    k, latch = dense_k_l(nds)
+    return model_with_deviation(nds, rm.matmul(rm.matmul(k, h), latch))
 
 
 class TestRecoveryMatrix:
@@ -336,3 +363,183 @@ class TestRecovery:
                 np.eye(4) + gain @ d_zv, gain)
             want = np.array(rm.to_float(phi.as_lists()))
             assert np.allclose(phi_num, want, atol=1e-9)
+
+
+def rand_recovery_nds(rng):
+    """Reconstructible NDS of one to four subsystems: n_u or n_y may be
+    0, E may be singular and n_v, n_z are drawn apart."""
+    for _ in range(128):
+        subs = []
+        for _ in range(rng.randint(1, 4)):
+            n_x = rng.randint(1, 4)
+            subs.append(rand_subsystem(
+                rng, n_x, rng.randint(1, 3), rng.randint(0, 2),
+                rng.randint(1, 3), rng.randint(0, 2), allow_singular_e=True))
+        nds = NdsDefinition(subsystems=tuple(subs))
+        if check_reconstructible(nds).reconstructible:
+            return nds
+    raise RuntimeError("could not draw a reconstructible NDS")
+
+
+def outer(col, row):
+    return [[x * y for y in row] for x in col]
+
+
+def combination(rng, vectors, length):
+    """Random nonzero combination of ``vectors``, or None if there are
+    none."""
+    if not vectors:
+        return None
+    out = [F(0)] * length
+    for v in vectors:
+        c = F(rng.randint(1, 5), rng.randint(1, 3))
+        out = [a + c * b for a, b in zip(out, v)]
+    return out
+
+
+def singular_w_h_m(rng, nds):
+    """H_m with W = I + H_m D_zv singular: for q = D_zv w != 0,
+    H_m = h - (h q + w) q^T / q^T q maps q to -w, so W w = 0."""
+    d_zv = nds.block("D_zv")
+    for _ in range(16):
+        w = [F(rng.randint(-3, 3)) for _ in range(nds.m_v)]
+        q = [row[0] for row in rm.matmul(d_zv, [[x] for x in w])]
+        qq = sum(x * x for x in q)
+        if qq:
+            break
+    else:
+        return None
+    h = [list(row) for row in rand_mat(rng, nds.m_v, nds.m_z)]
+    hq = [sum(a * b for a, b in zip(row, q)) for row in h]
+    return rm.sub(h, outer([(a + b) / qq for a, b in zip(hq, w)], q))
+
+
+class TestDenseOracle:
+    """The block route against the dense one (helpers.dense_consistency):
+    exactly equal H_m, flags and Phi."""
+
+    def check(self, nds, model):
+        h_m, left, right, hm, unique, phi = dense_consistency(nds, model)
+        rep = check_consistency(nds, model)
+        assert rep.H_m == h_m
+        assert (rep.cond_left, rep.cond_right, rep.cond_hm,
+                rep.recovery_unique) == (left, right, hm, unique)
+        if phi is None:
+            assert not rep.consistent
+            with pytest.raises(Inconsistent):
+                recover_scm(nds, model)
+        else:
+            assert rep.consistent
+            assert recover_scm(nds, model).as_lists() == phi
+        return rep
+
+    def test_seeded_differential(self):
+        rng = random.Random(2024)
+        seen = Counter()
+        for _ in range(40):
+            nds = rand_recovery_nds(rng)
+            subs = nds.subsystems
+            seen["n_u = 0"] += any(s.n_u == 0 for s in subs)
+            seen["n_y = 0"] += any(s.n_y == 0 for s in subs)
+            seen["singular E"] += any(rm.rank(s.E) < s.n_x for s in subs)
+            seen["n_v != n_z"] += any(s.n_v != s.n_z for s in subs)
+            k, latch = dense_k_l(nds)
+            dev = rm.matmul(rm.matmul(k, rand_mat(rng, nds.m_v, nds.m_z)),
+                            latch)
+            rows, cols = len(dev), len(dev[0])
+            models = {"K h L": dev}
+            y = combination(rng, rm.left_null_space(k, cols=nds.m_v), rows)
+            if y is not None:
+                models["K_perp"] = rm.add(dev, outer(
+                    y, [F(rng.randint(-2, 2)) for _ in range(cols)]))
+            l_perp = rm.transpose(rm.null_space(latch), cols=0)
+            x = combination(rng, l_perp, cols)
+            if x is not None:
+                models["L_perp"] = rm.add(dev, outer(
+                    [F(rng.randint(-2, 2)) for _ in range(rows)], x))
+            h = singular_w_h_m(rng, nds)
+            if h is not None:
+                models["singular W"] = rm.matmul(rm.matmul(k, h), latch)
+            one = [row[:] for row in dev]
+            one[rng.randrange(rows)][rng.randrange(cols)] += F(1, 3)
+            models["one entry"] = one
+            for kind, d in models.items():
+                rep = self.check(nds, model_with_deviation(nds, d))
+                seen[kind, rep.consistent] += 1
+                if kind == "singular W":
+                    assert rep.cond_left and rep.cond_right
+                    assert not rep.cond_hm
+        for key in ("n_u = 0", "n_y = 0", "singular E", "n_v != n_z",
+                    ("K h L", True), ("K_perp", False), ("L_perp", False),
+                    ("singular W", False), ("one entry", False)):
+            assert seen[key] >= 3, (key, seen)
+
+
+def variant0_network(rng, n_subs):
+    """Reconstructible, well-posed network of n_subs subsystems in the
+    shapes of the benchmark's variant 0 (n_x = 4, n_u = 1, n_v = n_z and
+    n_y of one or two), and its SCM."""
+    for _ in range(64):
+        nds = NdsDefinition(subsystems=tuple(
+            rand_subsystem(rng, 4, 1 + j % 2, 1, 1 + j % 2,
+                           1 + 2 * j // 3 % 2)
+            for j in range(n_subs)))
+        if not check_reconstructible(nds).reconstructible:
+            continue
+        for _ in range(16):
+            phi = SCMatrix(rm.freeze(rand_mat(rng, nds.m_v, nds.m_z)))
+            if check_well_posed(nds, phi):
+                return nds, phi
+    raise RuntimeError("could not draw a variant-0 network")
+
+
+class TestBlockScaling:
+    def test_recover_scm_one_pass_no_inverse_block_null_spaces(
+            self, monkeypatch):
+        nds, phi = variant0_network(random.Random(3), 4)
+        model = lump(nds, phi)
+        passes, inverses, null_inputs = [], [], []
+
+        def counted(log, fn, arg=False):
+            def wrapper(*args, **kwargs):
+                log.append((len(args[0]), len(args[0][0])) if arg else 1)
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(recon, "_consistency",
+                            counted(passes, recon._consistency))
+        monkeypatch.setattr(rm, "inv", counted(inverses, rm.inv))
+        # left_null_space calls null_space on the transpose
+        for name in ("null_space", "left_null_space"):
+            monkeypatch.setattr(rm, name,
+                                counted(null_inputs, getattr(rm, name), True))
+        assert recover_scm(nds, model).entries == phi.entries
+        assert (len(passes), len(inverses)) == (1, 0)
+        blocks = set()
+        for s in nds.subsystems:
+            k = (s.n_x + s.n_y, s.n_v)
+            blocks |= {k, k[::-1], (s.n_z, s.n_x + s.n_u)}
+        assert null_inputs and set(null_inputs) <= blocks
+
+    def test_round_trip_n16(self):
+        nds, phi = variant0_network(random.Random(16), 16)
+        assert nds.m_x == 64
+        model = lump(nds, phi)
+        assert check_consistency(nds, model).consistent
+        assert recover_scm(nds, model).entries == phi.entries
+
+    def test_scm_beyond_lift_bound_round_trips(self, monkeypatch):
+        # entries with 2^40 denominators exceed the rational lift of
+        # ratmat.solve_certified, which falls back to ratmat.solve: one
+        # solve per K_i^+ and L_j^+, and one for Phi
+        rng = random.Random(11)
+        nds, _ = variant0_network(rng, 3)
+        big = [[F(rng.randint(-2 ** 50, 2 ** 50), 2 ** 40 + rng.randint(1, 99))
+                for _ in range(nds.m_z)] for _ in range(nds.m_v)]
+        phi = SCMatrix(rm.freeze(big))
+        model = lump(nds, phi)
+        solves = []
+        monkeypatch.setattr(rm, "solve",
+                            lambda a, b, _f=rm.solve: solves.append(1) or
+                            _f(a, b))
+        assert recover_scm(nds, model).entries == phi.entries
+        assert len(solves) == 2 * nds.n + 1
