@@ -29,11 +29,11 @@ from .identifiability import (
 from .model import (
     DimensionError, KnownEntries, NotRegular, NotWellPosed, SCMatrix,
     SchemaError, _parse_matrix, _rows, nds_tfm, parse_constraints,
-    parse_model, tfm_equal,
+    parse_model, parse_rat, tfm_equal,
 )
 from .polymat import ShapeError
 from .reconstruction import (
-    Inconsistent, LumpedModel, NotReconstructible, check_consistency,
+    Inconsistent, LumpedModel, NotReconstructible, check_and_recover,
     check_reconstructible, lump, recover_scm,
 )
 from .sim import (
@@ -234,7 +234,7 @@ def cmd_reconstruct(args) -> int:
     }
     exit_code = 0
     if recon.reconstructible:
-        rep = check_consistency(nds, model)
+        rep, scm = check_and_recover(nds, model)
         result["consistent"] = rep.consistent
         result["conditions"] = {
             "cond_left": rep.cond_left, "cond_right": rep.cond_right,
@@ -242,7 +242,7 @@ def cmd_reconstruct(args) -> int:
         }
         result["H_m"] = mat_strs(rep.H_m)
         if rep.consistent:
-            result["scm"] = mat_strs(recover_scm(nds, model).entries)
+            result["scm"] = mat_strs(scm.entries)
         elif args.strict:
             exit_code = 1
     elif args.strict:
@@ -336,7 +336,7 @@ def _parse_tau_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise SchemaError("tau grid must look like start:step:stop")
-    start, step, stop = (Fraction(p.strip()) for p in parts)
+    start, step, stop = (parse_rat(p) for p in parts)
     if step <= 0:
         raise SchemaError("tau step must be positive")
     # exact rationals: start + k step for every k with the point <= stop

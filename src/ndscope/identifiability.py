@@ -213,7 +213,7 @@ def _pencil_blocks(tfms, hat: bool, twist=None):
     if twist is not None and twist[0] is not None:
         n_zv = n_zv @ twist[0]
         den_zv = den_zv @ twist[0]
-    f = den_zv.to_ratfun().inverse() @ v_part.to_ratfun()
+    f = den_zv.solve(v_part)
     sp = proper_split(f)
     q, omega = sp.Q, sp.Omega
     if twist is not None and twist[1] is not None:

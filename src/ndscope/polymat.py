@@ -11,9 +11,24 @@ module.  The central objects are
 * ``right_coprime_mfd`` / ``proper_split`` -- coprime fraction
   descriptions of rational matrices.
 
-Matrix elimination over Q(s) (``RatFunMat.det``/``inverse``,
-``normal_rank``) runs the one Gaussian elimination of ``ratmat`` on
-``RatFun`` entries; ``smith_form`` keeps its own Euclidean reduction.
+A ``Poly`` keeps canonical ``Fraction`` coefficients; its product and
+gcd run on ints.  A product clears each operand by the lcm of its
+denominators, convolves the ints and makes one ``Fraction`` per output
+coefficient.  ``poly_gcd`` is a primitive remainder sequence over Z
+(Brown, J. ACM 18, 1971): integer pseudo-remainders, each divided by its
+content; made monic, the last one is the unique monic gcd.
+
+``PolyMat.det`` and ``PolyMat.solve`` eliminate over the ring Q[s]:
+``ratmat``'s fraction-free elimination with an exact polynomial quotient
+as its division step.  By ``ratmat``'s minor bound every divisor is the
+previous pivot minor and leaves no remainder; a nonzero one is a bug and
+raises ``BrokenInvariant``.  ``det`` is the last forward pivot.
+``solve`` ends Gauss-Jordan on [A | B] with pivot rows [0 .. d .. 0 |
+d X], d = +-det A, and forms one ``RatFun`` per entry of X.
+``RatFunMat.det``/``inverse`` and ``normal_rank`` run the same
+elimination over the field Q(s); ``smith_form`` keeps its own Euclidean
+reduction.
+
 Decisions made by evaluating at rational points are exact only under a
 stated degree bound: a nonzero polynomial of degree <= r has at most r
 roots, so r + 1 distinct points decide whether it vanishes identically
@@ -24,14 +39,12 @@ cross-check, never a verdict.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import ratmat
-
-Rat = Fraction
 
 NEG_INF = float("-inf")
 
@@ -166,14 +179,14 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Poly(out)
+            return P_ZERO
+        (a, da), (b, db) = _ints(self.coeffs), _ints(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return Poly(Fraction(c, da * db) for c in out)
 
     __rmul__ = __mul__
 
@@ -258,17 +271,47 @@ def _as_poly(x):
     return NotImplemented
 
 
+def _ints(coeffs):
+    """(ints, d): the coefficients times d, the lcm of their denominators."""
+    d = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
 S = Poly.var()
 P_ZERO = Poly()
 P_ONE = Poly.const(1)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(0, 0) = 0."""
+    """Monic gcd by a primitive remainder sequence over Z; gcd(0, 0) = 0."""
     a, b = _as_poly(a), _as_poly(b)
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    if a.is_zero or b.is_zero:
+        return (a + b).monic()
+    u, v = _ints(a.coeffs)[0], _ints(b.coeffs)[0]
+    while len(v) > 1:
+        # r = lc(v)^k u mod v, k up to deg u - deg v + 1
+        r, lc, n = u, v[-1], len(v)
+        while len(r) >= n:
+            c, k = r[-1], len(r) - n
+            r = [lc * x for x in r]
+            for i, y in enumerate(v, k):
+                r[i] -= c * y
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return Poly(Fraction(x, v[-1]) for x in v)
+        g = gcd(*r)
+        u, v = v, [x // g for x in r]
+    return P_ONE
+
+
+def _exact_quotient(a: Poly, b) -> Poly:
+    """a / b for a multiple a of b: the division step of the elimination
+    over Q[s] (module docstring)."""
+    q, r = divmod(a, b)
+    if r:
+        raise BrokenInvariant("nonzero remainder in an exact division")
+    return q
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -584,10 +627,28 @@ class PolyMat(_GridMat):
         return [[e(x) for e in row] for row in self.entries]
 
     def det(self) -> Poly:
-        d = self.to_ratfun().det()
-        if not d.is_polynomial:
-            raise BrokenInvariant("polynomial matrix with non-polynomial det")
-        return d.num
+        """The last forward pivot over Q[s] (module docstring)."""
+        n = self.rows
+        if self.cols != n:
+            raise ShapeError("det of a non-square matrix")
+        a = [row[:] for row in self.entries]
+        pivots, sign = ratmat._eliminate(a, n, _exact_quotient, jordan=False)
+        if len(pivots) < n:
+            return P_ZERO
+        d = a[-1][-1] if n else P_ONE
+        return d if sign > 0 else -d
+
+    def solve(self, b: "PolyMat") -> "RatFunMat":
+        """X with self @ X = b over Q(s), eliminating over Q[s] (module
+        docstring)."""
+        n = self.rows
+        if self.cols != n or b.rows != n:
+            raise ShapeError("solve needs a square matrix and n rows of b")
+        a = [ra + rb for ra, rb in zip(self.entries, b.entries)]
+        if len(ratmat._eliminate(a, n, _exact_quotient, jordan=True)[0]) < n:
+            raise ratmat.SingularMatrixError("matrix is singular")
+        return RatFunMat(n, b.cols, [[RatFun(x, a[-1][n - 1]) for x in row[n:]]
+                                     for row in a])
 
     def is_unimodular(self) -> bool:
         if self.rows != self.cols:
@@ -805,16 +866,9 @@ class _Tracker:
 
 def _content(polys) -> Fraction:
     """gcd of all coefficients of a list of polynomials (0 if all zero)."""
-    num_gcd = 0
-    den_lcm = 1
-    for p in polys:
-        for c in p.coeffs:
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm,
-                                                          c.denominator)
-    if num_gcd == 0:
-        return Fraction(0)
-    return Fraction(num_gcd, den_lcm)
+    cs = [c for p in polys for c in p.coeffs]
+    return Fraction(gcd(*[c.numerator for c in cs]),
+                    lcm(*[c.denominator for c in cs]))
 
 
 def smith_form(m: PolyMat, rng: random.Random | None = None) -> SmithForm:
@@ -902,13 +956,16 @@ def smith_mcmillan(g: RatFunMat) -> SmithMcMillanForm:
 
 
 def unimodular_inverse(u: PolyMat) -> PolyMat:
-    """Exact polynomial inverse of a unimodular matrix."""
+    """Exact polynomial inverse of a unimodular matrix: ``u.solve(I)``,
+    whose entries are all polynomials iff det u is a nonzero constant."""
     if u.rows != u.cols:
         raise NotUnimodular("matrix is not square")
-    d = u.det()
-    if d.is_zero or not d.is_constant:
-        raise NotUnimodular(f"determinant {d} is not a nonzero constant")
-    inv = u.to_ratfun().inverse()
+    try:
+        inv = u.solve(PolyMat.identity(u.rows))
+    except ratmat.SingularMatrixError:
+        inv = None
+    if inv is None or not inv.is_polynomial():
+        raise NotUnimodular("determinant is not a nonzero constant")
     return inv.to_polymat()
 
 

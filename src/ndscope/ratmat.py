@@ -34,10 +34,11 @@ once per output entry instead of once per add and multiply:
   matrix is its determinant up to the sign of the row swaps.  ``rref``
   ends by dividing each pivot row by its pivot: one Fraction
   normalization per output entry.
-* The same loop runs over other fields with field division in place of
-  the exact integer division, so Q and Q(s) share one elimination
-  (``rref``, ``rank``, ``det``, ``solve``, ``inv``, ``null_space``,
-  ``left_null_space``).
+* The division step is an argument, and the minor bound holds in any
+  integral domain: Q and Q(s) share one elimination, with field division
+  in place of exact integer division (``rref``, ``rank``, ``det``,
+  ``solve``, ``inv``, ``null_space``, ``left_null_space``), and
+  ``polymat`` runs it over Q[s] with an exact polynomial quotient.
 * ``matmul`` clears the rows of ``a`` and the columns of ``b`` and forms
   c_ij = (sum_t A_it B_tj) / (da_i db_j): one gcd per output entry.
 * A one-sided full-rank certificate in ``rank``.  It first eliminates the
@@ -145,14 +146,13 @@ def is_zero(m):
     return all(x == 0 for row in m for x in row)
 
 
-def _eliminate(a, ncols, exact, jordan):
+def _eliminate(a, ncols, div, jordan):
     """Fraction-free elimination of the rows ``a`` in place (module
-    docstring).  ``exact`` selects exact integer division over field
-    division; ``jordan`` eliminates above the pivot as well as below.
-    Returns (pivot columns, sign of the row permutation); pivot row t
-    ends at ``a[t]``.
+    docstring).  ``div(x, prev)`` is the division step, exact in the
+    ring of the entries; ``jordan`` eliminates above the pivot as well
+    as below.  Returns (pivot columns, sign of the row permutation);
+    pivot row t ends at ``a[t]``.
     """
-    div = floordiv if exact else truediv
     nrows = len(a)
     pivots, sign, prev = [], 1, 1
     for c in range(ncols):
@@ -186,7 +186,8 @@ def rref(m, cols=None):
     ncols = len(m[0]) if m else (cols or 0)
     a, scales = _cleared(m)
     exact = scales is not None
-    pivots = _eliminate(a, ncols, exact, jordan=True)[0]
+    div = floordiv if exact else truediv
+    pivots = _eliminate(a, ncols, div, jordan=True)[0]
     for r, c in enumerate(pivots):
         piv = a[r][c]
         a[r] = ([_fraction(x, piv) for x in a[r]] if exact
@@ -228,7 +229,8 @@ def rank(m, cols=None):
     exact = scales is not None
     if exact and _full_rank_mod_p(a, ncols):
         return min(len(a), ncols)
-    return len(_eliminate(a, ncols, exact, jordan=False)[0])
+    div = floordiv if exact else truediv
+    return len(_eliminate(a, ncols, div, jordan=False)[0])
 
 
 def null_space(m, cols=None):
@@ -270,7 +272,8 @@ def det(m):
     if n == 0:
         return ONE
     a, scales = _cleared(m)
-    pivots, sign = _eliminate(a, n, scales is not None, jordan=False)
+    div = floordiv if scales is not None else truediv
+    pivots, sign = _eliminate(a, n, div, jordan=False)
     if len(pivots) < n:
         return ZERO
     last = a[-1][-1]

@@ -264,7 +264,17 @@ def recover_scm(nds: NdsDefinition, model: LumpedModel) -> SCMatrix:
 
     A consistent model has cond_hm, which is rank W = m_v
     (ConsistencyReport): W is nonsingular, so the solve cannot fail."""
+    scm = check_and_recover(nds, model)[1]
+    if scm is None:
+        raise Inconsistent("model is not consistent with the NDS structure")
+    return scm
+
+
+def check_and_recover(nds: NdsDefinition, model: LumpedModel):
+    """(report, SCM) of ``check_consistency`` and ``recover_scm`` from one
+    pass; the SCM is None when the model is inconsistent."""
     report, w = _consistency(nds, model)
     if not report.consistent:
-        raise Inconsistent("model is not consistent with the NDS structure")
-    return SCMatrix(ratmat.freeze(ratmat.solve_certified(w, report.H_m)))
+        return report, None
+    return report, SCMatrix(
+        ratmat.freeze(ratmat.solve_certified(w, report.H_m)))

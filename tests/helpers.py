@@ -306,6 +306,43 @@ def field_matmul(a, b):
     return out
 
 
+# ------------------------------------------------- polynomial oracles
+# The Fraction loops that ndscope.polymat's integer kernels replaced, and
+# the field route over Q(s) that its eliminations over Q[s] replaced.
+
+
+def fraction_mul(a: Poly, b: Poly) -> Poly:
+    """a * b by one Fraction product and one sum per term pair."""
+    if a.is_zero or b.is_zero:
+        return Poly()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                if y:
+                    out[i + j] += x * y
+    return Poly(out)
+
+
+def euclid_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid's algorithm with Fraction remainders."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def field_poly_solve(den: PolyMat, b: PolyMat) -> RatFunMat:
+    """den^-1 b by the inverse over the field Q(s)."""
+    return den.to_ratfun().inverse() @ b.to_ratfun()
+
+
+def field_poly_det(m: PolyMat) -> Poly:
+    """det over the field Q(s); it must be a polynomial."""
+    d = m.to_ratfun().det()
+    assert d.is_polynomial
+    return d.num
+
+
 # ------------------------------------------------- recovery oracle
 # The dense route that ndscope.reconstruction replaced with subsystem
 # blocks: the stacked K and L, two explicit inverses, null spaces of the

@@ -332,6 +332,28 @@ class TestReconstructAndLump:
         assert code == 2
         assert doc["error"].startswith("SchemaError")
 
+    def test_one_consistency_pass(self, model_path, tmp_path, schema,
+                                  monkeypatch):
+        import ndscope.reconstruction as reconstruction
+        from ndscope.cli import mat_strs
+        from ndscope.fixtures import PHI_EQUIV, demo_nds
+        model = reconstruction.lump(demo_nds(), PHI_EQUIV)
+        lpath = tmp_path / "lumped.json"
+        lpath.write_text(json.dumps({k: mat_strs(getattr(model, k + "_hat"))
+                                     for k in "ABCD"}))
+        passes = []
+
+        def counted(nds, model):
+            passes.append(model)
+            return consistency(nds, model)
+        consistency = reconstruction._consistency
+        monkeypatch.setattr(reconstruction, "_consistency", counted)
+        code, doc = run_json(
+            ["reconstruct", model_path, "--lumped", str(lpath)], schema)
+        assert code == 0 and doc["result"]["consistent"]
+        assert doc["result"]["scm"] == mat_strs(PHI_EQUIV.entries)
+        assert len(passes) == 1
+
 
 class TestSimulateCmd:
     def test_equivalent_pair(self, model_path, tmp_path, schema):
@@ -425,6 +447,16 @@ class TestSweepCmd:
         assert taus[0] == 0 and taus[-1] == 20
         from fractions import Fraction
         assert taus[11] == Fraction(11, 10)   # exact rationals, no drift
+
+    @pytest.mark.parametrize("grid", ["0:1/0:1", "1/0:1:2", "0:1:1/0",
+                                      "a:1:2"])
+    def test_bad_tau_part_exit_2(self, model_path, tmp_path, grid, schema):
+        code, doc = run_json(
+            ["sweep", model_path, "--scm0", PHI0_INLINE,
+             "--directions", "paper", "--tau", grid,
+             "--out-dir", str(tmp_path)], schema)
+        assert code == 2
+        assert doc["error"].startswith("SchemaError")
 
     def test_d_s_column_linear_in_tau(self, model_path, tmp_path, schema):
         out = str(tmp_path / "sweeplin")

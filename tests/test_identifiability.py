@@ -4,14 +4,16 @@ from fractions import Fraction as F
 import pytest
 
 import ndscope.ratmat as rm
-from helpers import rand_nds, rand_unimodular, rand_wellposed_scm
+from helpers import (
+    field_poly_solve, rand_nds, rand_unimodular, rand_wellposed_scm,
+)
 from ndscope.fixtures import (
     PHI0, PHI_DIFF, PHI_EQUIV, SWEEP_DIRECTIONS, demo_nds,
 )
 from ndscope.identifiability import (
     A2, A3, BOTH_FULL, DUAL_A3, IDENTIFIABLE, IDENTIFIABLE_BY_BOTH_FULL,
     NOT_IDENTIFIABLE, RegionIsTrivial, UndiffRegion, WrongCase, ZeroDiagonal,
-    _build_pencil, build_xy_pencil, build_xy_pencil_hat,
+    _build_pencil, _pencil_blocks, build_xy_pencil, build_xy_pencil_hat,
     check_identifiable_at, check_identifiable_augmented,
     check_identifiable_known_entries, check_identifiable_parameterized,
     classify_case, stacked_u2, undiff_region, verify_region_by_tfm,
@@ -20,7 +22,7 @@ from ndscope.model import (
     AffineConstraint, KnownEntries, NotRegular, SCMatrix, nds_tfm, tfm_equal,
     transpose_nds,
 )
-from ndscope.polymat import RatFunMat, normal_rank, smith_mcmillan
+from ndscope.polymat import PolyMat, RatFunMat, normal_rank, smith_mcmillan
 from ndscope.model import subsystem_tfms
 
 
@@ -369,6 +371,35 @@ class TestMfdInvariance:
             assert st.null_basis() == base.null_basis()
             assert st.is_fcr() == base.is_fcr()
             done += 1
+
+    @pytest.mark.parametrize("kind", ["a3", "a2"])
+    def test_pencil_blocks_equal_field_route(self, kind, monkeypatch):
+        # Den^-1 times the transform, solved over Q[s] and over Q(s)
+        rng = random.Random(71 if kind == "a3" else 72)
+        hat = kind == "a3"
+        for _ in range(6):
+            nds = rand_nds(rng, kind)
+            for sub in nds.subsystems:
+                t = subsystem_tfms(sub)
+                r_hat = sub.n_v - normal_rank(t.G_yv) if hat else sub.n_v
+                for twist in (None, (rand_unimodular(rng, sub.n_v),
+                                     rand_unimodular(rng, r_hat))):
+                    got = _pencil_blocks(t, hat, twist)
+                    with monkeypatch.context() as m:
+                        m.setattr(PolyMat, "solve", field_poly_solve)
+                        assert got == _pencil_blocks(t, hat, twist)
+
+    def test_no_inverse_over_the_field(self, monkeypatch):
+        calls = []
+        inverse = RatFunMat.inverse
+
+        def counted(self):
+            calls.append(self.shape)
+            return inverse(self)
+        monkeypatch.setattr(RatFunMat, "inverse", counted)
+        rep = check_identifiable_at(demo_nds(), PHI0)
+        assert rep.verdict == NOT_IDENTIFIABLE
+        assert calls == []
 
 
 class TestDualPath:

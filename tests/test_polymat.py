@@ -3,7 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import rand_poly, rand_polymat, rand_ratfunmat, rand_unimodular
+import ndscope.ratmat as rm
+from helpers import (
+    euclid_gcd, field_poly_det, field_poly_solve, fraction_mul, rand_poly,
+    rand_polymat, rand_ratfunmat, rand_unimodular,
+)
 from ndscope.polymat import (
     NEG_INF, BrokenInvariant, NotUnimodular, Poly, PolyMat, RatFun, RatFunMat, S,
     is_coprime_right, normal_rank, poly_gcd, poly_lcm, proper_split,
@@ -54,14 +58,102 @@ class TestPoly:
         assert P(4, 2).monic() == P(2, 1)
 
 
+def kernel_poly(rng, bits):
+    """Zero, a constant or degree <= 5 with ``bits``-bit numerators and
+    denominators, leading coefficient of either sign."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Poly()
+    deg = 0 if kind == 1 else rng.randint(1, 5)
+    top = 1 << bits
+    coeffs = [F(rng.randint(-top, top), rng.randint(1, top))
+              for _ in range(deg + 1)]
+    coeffs[-1] = coeffs[-1] or F(rng.choice([-1, 1]))
+    return Poly(coeffs)
+
+
+class TestIntegerKernels:
+    """The integer kernels equal the Fraction loops they replaced."""
+
+    @pytest.mark.parametrize("bits", [2, 40, 1000])
+    def test_product_equals_fraction_loop(self, bits):
+        rng = random.Random(bits)
+        for _ in range(60):
+            a, b = kernel_poly(rng, bits), kernel_poly(rng, bits)
+            got = a * b
+            assert got == fraction_mul(a, b) == b * a
+            assert all(type(c) is F for c in got.coeffs)
+            assert a * 3 == fraction_mul(a, P(3))
+
+    @pytest.mark.parametrize("bits", [2, 40, 1000])
+    def test_gcd_equals_euclid(self, bits):
+        rng = random.Random(100 + bits)
+        seen = set()
+        for _ in range(10 if bits >= 1000 else 40):
+            a, b, c = (kernel_poly(rng, bits) for _ in range(3))
+            pairs = [(a, b), (a * c, b * c), (a, P(F(-7, 3))), (a, Poly())]
+            for x, y in pairs:
+                g = poly_gcd(x, y)
+                assert g == euclid_gcd(x, y) == poly_gcd(y, x)
+                seen.add("common" if g.degree > 0 else "coprime"
+                         if not g.is_zero else "zero")
+        assert seen == {"common", "coprime", "zero"}
+
+    def test_gcd_negative_leading_and_ratfun(self):
+        # -2 (s - 2)(s - 3) and (s - 3)(1 + s/2)
+        a, b = P(6, -5, 1) * P(-2), P(-3, 1) * P(1, F(1, 2))
+        assert poly_gcd(a, b) == P(-3, 1)
+        r = RatFun(a, b)
+        assert (r.num, r.den) == (P(8, -4), P(2, 1))
+
+    def test_det_equals_field_route(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            m = rand_polymat(rng, n, n, max_deg=3)
+            if rng.random() < 0.25:
+                m.entries[-1] = list(m.entries[0])    # singular
+            elif rng.random() < 0.5:
+                m.entries[0][0] = Poly()              # a row swap
+            assert m.det() == field_poly_det(m)
+        assert PolyMat.zeros(0, 0).det() == P(1)
+        assert PolyMat(2, 2, [[Poly(), S], [P(1), P(2)]]).det() == P(0, -1)
+
+    def test_solve_equals_field_route(self):
+        rng = random.Random(6)
+        done = 0
+        while done < 30:
+            n = rng.randint(1, 4)
+            den = rand_polymat(rng, n, n, max_deg=2)
+            b = rand_polymat(rng, n, rng.randint(1, 3), max_deg=2)
+            if rng.random() < 0.3:
+                den.entries[0][0] = Poly()            # a row swap
+            if den.det().is_zero:
+                with pytest.raises(rm.SingularMatrixError):
+                    den.solve(b)
+                continue
+            assert den.solve(b) == field_poly_solve(den, b)
+            done += 1
+
+    def test_unimodular_inverse_equals_field_route(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            u = rand_unimodular(rng, n, ops=8)
+            want = field_poly_solve(u, PolyMat.identity(n)).to_polymat()
+            assert unimodular_inverse(u) == want
+
+
 class TestPolyMatDet:
     def test_broken_invariant_is_typed(self, monkeypatch):
-        # det of a polynomial matrix is a polynomial; if the rational
-        # route ever returned 1/s, that is a bug, not an input error
-        m = PolyMat(1, 1, [[P(0, 1)]])
-        assert m.det() == P(0, 1)
-        monkeypatch.setattr(RatFunMat, "det",
-                            lambda self: RatFun(P(1), P(0, 1)))
+        # every division of the elimination over Q[s] is exact; if one
+        # ever left a remainder, that is a bug, not an input error
+        m = PolyMat(3, 3, [[S, P(1), Poly()], [P(1), S, P(1)],
+                           [Poly(), P(1), S]])
+        assert m.det() == P(0, -2, 0, 1)
+        divmod_ = Poly.__divmod__
+        monkeypatch.setattr(Poly, "__divmod__", lambda self, other: (
+            divmod_(self, other)[0], P(1)))
         with pytest.raises(BrokenInvariant):
             m.det()
         assert issubclass(BrokenInvariant, ArithmeticError)
