@@ -28,8 +28,8 @@ from .identifiability import (
 )
 from .model import (
     DimensionError, KnownEntries, NotRegular, NotWellPosed, SCMatrix,
-    SchemaError, _parse_matrix, _rows, nds_tfm, parse_constraints,
-    parse_model, parse_rat, tfm_equal,
+    SchemaError, _index, _json_doc, _parse_matrix, _rows, nds_tfm,
+    parse_constraints, parse_model, parse_rat, tfm_equal,
 )
 from .polymat import ShapeError
 from .reconstruction import (
@@ -47,7 +47,7 @@ DEFAULT_SEED = 0
 INPUT_ERRORS = (SchemaError, DimensionError, ShapeError, NotRegular,
                 NotWellPosed, NotReconstructible, Inconsistent, WrongCase,
                 RegionIsTrivial, ZeroDiagonal, ZeroSpectrum, SingularE,
-                Unstable, ValueError, OSError)
+                Unstable, OSError)
 
 
 def frac_str(x) -> str:
@@ -92,7 +92,12 @@ def fmt_float(x) -> str:
 
 def default_seed() -> int:
     env = os.environ.get("NDSCOPE_SEED")
-    return int(env) if env else DEFAULT_SEED
+    return _index(env, "NDSCOPE_SEED") if env else DEFAULT_SEED
+
+
+def _load_json(path, what):
+    with open(path, "rb") as fh:
+        return _json_doc(fh.read(), what)
 
 
 def load_model(path):
@@ -102,8 +107,7 @@ def load_model(path):
 
 def load_scm(text_or_path, nds) -> SCMatrix:
     if os.path.exists(text_or_path):
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            phi = SCMatrix.from_rows(json.load(fh))
+        phi = SCMatrix.from_rows(_load_json(text_or_path, "SCM file"))
     else:
         phi = SCMatrix.parse_inline(text_or_path)
     phi.check_shape(nds)
@@ -140,8 +144,8 @@ def cmd_check_identifiability(args) -> int:
     nds, embedded, constraint = load_model(args.model)
     phi0 = resolve_scm(args, nds, embedded)
     if args.constraints:
-        with open(args.constraints, "r", encoding="utf-8") as fh:
-            constraint = parse_constraints(json.load(fh), nds)
+        constraint = parse_constraints(
+            _load_json(args.constraints, "constraints file"), nds)
     result: dict = {}
     if constraint is None:
         rep = check_identifiable_at(nds, phi0)
@@ -207,8 +211,7 @@ def cmd_region(args) -> int:
 
 
 def _load_lumped(path, nds) -> LumpedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(path, "lumped model file")
     if not isinstance(doc, dict):
         raise SchemaError("lumped model file must be a JSON object")
     shapes = {"A": (nds.m_x, nds.m_x), "B": (nds.m_x, nds.m_u),
@@ -363,8 +366,7 @@ def cmd_sweep(args) -> int:
         if (phi0.rows, phi0.cols) != (4, 2):
             raise SchemaError("the bundled directions are 4x2")
     else:
-        with open(args.directions, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _load_json(args.directions, "directions file")
         if not isinstance(doc, list):
             raise SchemaError("a directions file must hold a list of SCMs")
         directions = [SCMatrix.from_rows(m, "a direction") for m in doc]

@@ -102,15 +102,27 @@ class StackedCoeffMatrix:
     def is_fcr(self) -> bool:
         # A block with no rows puts no constraint on delta and is treated
         # as full column rank (the pencil then absorbs every direction).
-        if not self.entries:
-            return True
-        return ratmat.rank(self.entries, cols=self.cols) == self.cols
+        # ``rank`` certifies full rank modulo a prime without the exact
+        # elimination that a kernel needs.
+        return not self.entries or \
+            ratmat.rank(self.entries, cols=self.cols) == self.cols
 
     def null_basis(self):
         """Canonical right-null basis (cols x d, d = 0 when FCR)."""
-        if not self.entries:
-            return [[] for _ in range(self.cols)]
-        return ratmat.null_space(self.entries, cols=self.cols)
+        return _kernel(self.entries, self.cols)[1]
+
+
+def _kernel(rows, cols):
+    """(fcr, canonical right-null basis) of a matrix with ``cols`` columns.
+
+    A matrix with no rows or no columns is of full column rank with a
+    cols x 0 basis; otherwise it is of full column rank iff its basis
+    has no columns.
+    """
+    if not rows or not cols:
+        return True, [[] for _ in range(cols)]
+    basis = ratmat.null_space(rows, cols=cols)
+    return not basis[0], basis
 
 
 @dataclass
@@ -285,30 +297,41 @@ def _stacked_trailing_rows(m: PolyMat, cols: int) -> StackedCoeffMatrix:
     return StackedCoeffMatrix(entries=entries, p=p, r=r, cols=cols)
 
 
-def _require_regular(nds: NdsDefinition, phi0: SCMatrix):
+def _prepared(nds: NdsDefinition, phi0: SCMatrix):
+    """(warnings, per-subsystem TFMs, case) after the checks every test
+    starts with: phi0's shape and the regularity of the NDS at phi0."""
+    phi0.check_shape(nds)
     # check_nds_regular itself raises NotRegular for an irregular subsystem
     if not check_nds_regular(nds, phi0):
         raise NotRegular("NDS is not regular at the given SCM")
+    warnings = () if check_well_posed(nds, phi0) else ("not_well_posed",)
+    return (warnings, *_classified(nds))
+
+
+def _verdict(case: CaseTag, fcr: bool) -> str:
+    if not fcr:
+        return NOT_IDENTIFIABLE
+    return IDENTIFIABLE_BY_BOTH_FULL if case.kind == BOTH_FULL \
+        else IDENTIFIABLE
 
 
 def check_identifiable_at(nds: NdsDefinition, phi0: SCMatrix) -> IdentReport:
     """Decide global identifiability at phi0 and return the evidence."""
-    phi0.check_shape(nds)
-    _require_regular(nds, phi0)
-    warnings = ()
-    if not check_well_posed(nds, phi0):
-        warnings = ("not_well_posed",)
-    tfms, case = _classified(nds)
+    warnings, tfms, case = _prepared(nds, phi0)
     if case.kind == BOTH_FULL:
         return IdentReport(case=case, verdict=IDENTIFIABLE_BY_BOTH_FULL,
                            warnings=warnings)
     stacked, transposed = _stacked_for_case(nds, phi0, case, tfms)
-    if stacked.is_fcr():
-        return IdentReport(case=case, verdict=IDENTIFIABLE, stacked=stacked,
-                           transposed=transposed, warnings=warnings)
-    return IdentReport(case=case, verdict=NOT_IDENTIFIABLE, stacked=stacked,
-                       null_basis=stacked.null_basis(),
-                       transposed=transposed, warnings=warnings)
+    return _stacked_report(case, stacked, transposed, warnings)
+
+
+def _stacked_report(case, stacked, transposed, warnings) -> IdentReport:
+    """The verdict of the stacked test; the null basis only when not fcr."""
+    fcr = stacked.is_fcr()
+    return IdentReport(case=case, verdict=_verdict(case, fcr),
+                       stacked=stacked, transposed=transposed,
+                       null_basis=None if fcr else stacked.null_basis(),
+                       warnings=warnings)
 
 
 def undiff_region(report: IdentReport, phi0: SCMatrix) -> UndiffRegion:
@@ -367,10 +390,15 @@ def _stacked_for_case(nds: NdsDefinition, phi0: SCMatrix, case: CaseTag,
 
     In case dual_a3 the pencil is built for the transposed system, whose
     subsystem transfer matrices are the transposes with the roles of
-    (u, v) and (y, z) exchanged (see ``model.transpose_nds``).
+    (u, v) and (y, z) exchanged (see ``model.transpose_nds``).  In case
+    both_full every deviation from Phi0 changes the external TFM, so the
+    stacked matrix is the m_v x m_v identity with p = 0.
     """
     if case.kind == BOTH_FULL:
-        raise WrongCase("constrained tests need a rank-deficient case")
+        m = phi0.rows
+        return StackedCoeffMatrix(
+            entries=[[Fraction(int(i == j)) for j in range(m)]
+                     for i in range(m)], p=0, r=0, cols=m), False
     if case.kind != DUAL_A3:
         pencil = _build_pencil(tfms_per_sub, hat=case.kind == A3, case=case)
         return _portless_zero(nds, stacked_u2(pencil, phi0)), False
@@ -403,9 +431,7 @@ def check_identifiable_known_entries(nds: NdsDefinition, phi0: SCMatrix,
     Reports a per-column dict with the kept (1-based) column indices and
     the null basis in the kept coordinates.
     """
-    phi0.check_shape(nds)
-    _require_regular(nds, phi0)
-    tfms, case = _classified(nds)
+    warnings, tfms, case = _prepared(nds, phi0)
     stacked, transposed = _stacked_for_case(nds, phi0, case, tfms)
     if transposed:
         known = {}
@@ -427,19 +453,13 @@ def check_identifiable_known_entries(nds: NdsDefinition, phi0: SCMatrix,
             if not 1 <= i <= m:
                 raise SchemaError(f"known-entry row index {i} out of range")
         kept = [i for i in range(1, m + 1) if i not in fixed]
-        sub = [[row[i - 1] for i in kept] for row in stacked.entries]
-        if not kept:
-            fcr, basis = True, []
-        elif not sub:
-            fcr, basis = True, [[] for _ in kept]
-        else:
-            basis = ratmat.null_space(sub, cols=len(kept))
-            fcr = not basis or len(basis[0]) == 0
+        fcr, basis = _kernel([[row[i - 1] for i in kept]
+                              for row in stacked.entries], len(kept))
         per_column[j] = {"kept": kept, "fcr": fcr, "null_basis": basis}
         all_fcr = all_fcr and fcr
-    verdict = IDENTIFIABLE if all_fcr else NOT_IDENTIFIABLE
-    return IdentReport(case=case, verdict=verdict, stacked=stacked,
-                       transposed=transposed, per_column=per_column)
+    return IdentReport(case=case, verdict=_verdict(case, all_fcr),
+                       stacked=stacked, transposed=transposed,
+                       warnings=warnings, per_column=per_column)
 
 
 def check_identifiable_parameterized(nds: NdsDefinition, spec,
@@ -451,9 +471,7 @@ def check_identifiable_parameterized(nds: NdsDefinition, spec,
     """
     theta0 = tuple(Fraction(t) for t in theta0)
     phi0 = spec.at(theta0)
-    phi0.check_shape(nds)
-    _require_regular(nds, phi0)
-    tfms, case = _classified(nds)
+    warnings, tfms, case = _prepared(nds, phi0)
     stacked, transposed = _stacked_for_case(nds, phi0, case, tfms)
     directions = [d.transpose() if transposed else d for d in spec.directions]
     q = len(directions)
@@ -465,15 +483,11 @@ def check_identifiable_parameterized(nds: NdsDefinition, spec,
         vec = [prod[i][j] for j in range(d.cols) for i in range(len(prod))]
         cols.append(vec)
     rows = len(cols[0]) if cols else 0
-    test = [[cols[k][i] for k in range(q)] for i in range(rows)]
-    if q == 0 or rows == 0:
-        fcr, basis = True, [[] for _ in range(q)]
-    else:
-        basis = ratmat.null_space(test, cols=q)
-        fcr = not basis or len(basis[0]) == 0
-    verdict = IDENTIFIABLE if fcr else NOT_IDENTIFIABLE
-    return IdentReport(case=case, verdict=verdict, stacked=stacked,
-                       transposed=transposed,
+    fcr, basis = _kernel([[cols[k][i] for k in range(q)]
+                          for i in range(rows)], q)
+    return IdentReport(case=case, verdict=_verdict(case, fcr),
+                       stacked=stacked, transposed=transposed,
+                       warnings=warnings,
                        theta_null_basis=None if fcr else basis)
 
 
@@ -486,9 +500,7 @@ def check_identifiable_augmented(nds: NdsDefinition, phi0: SCMatrix,
     rows to the first m_v columns (the right-hand side only carries
     delta there).  Must agree with the direct test.
     """
-    phi0.check_shape(nds)
-    _require_regular(nds, phi0)
-    tfms, case = _classified(nds)
+    warnings, tfms, case = _prepared(nds, phi0)
     if case.kind != A2:
         raise WrongCase(
             f"augmented test agrees with the direct one only in case {A2}")
@@ -516,7 +528,4 @@ def check_identifiable_augmented(nds: NdsDefinition, phi0: SCMatrix,
         for i in range(m_z)])
     stacked = _portless_zero(
         nds, _stacked_trailing_rows(PolyMat.vstack([top, bot]), m_v))
-    if stacked.is_fcr():
-        return IdentReport(case=case, verdict=IDENTIFIABLE, stacked=stacked)
-    return IdentReport(case=case, verdict=NOT_IDENTIFIABLE, stacked=stacked,
-                       null_basis=stacked.null_basis())
+    return _stacked_report(case, stacked, False, warnings)

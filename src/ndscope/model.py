@@ -322,12 +322,7 @@ def parse_model(text):
     Returns (NdsDefinition, SCMatrix | None, constraint | None) where the
     constraint is a KnownEntries or AffineConstraint instance.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
+    doc = _json_doc(text, "model file")
     if not isinstance(doc, dict):
         raise SchemaError("model file must be a JSON object")
     if "subsystems" not in doc or not isinstance(doc["subsystems"], list) \
@@ -380,6 +375,16 @@ def parse_model(text):
     if "constraints" in doc and doc["constraints"] is not None:
         constraint = parse_constraints(doc["constraints"], nds)
     return nds, phi, constraint
+
+
+def _json_doc(raw, what):
+    """The JSON document in ``raw``, a str or UTF-8 bytes; anything else
+    raises a SchemaError naming ``what``."""
+    try:
+        return json.loads(raw.decode("utf-8") if isinstance(raw, bytes)
+                          else raw)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _json_list(x, what):

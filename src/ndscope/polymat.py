@@ -6,8 +6,8 @@ module.  The central objects are
 
 * ``Poly`` / ``RatFun``   -- scalars of Q[s] and Q(s),
 * ``PolyMat`` / ``RatFunMat`` -- matrices over them,
-* ``smith_form`` / ``smith_mcmillan`` -- canonical diagonalisations with
-  tracked unimodular transforms *and their exact inverses*,
+* ``smith_form`` / ``smith_mcmillan`` -- canonical diagonalisations that
+  track the inverse unimodular transforms and form U and V on demand,
 * ``right_coprime_mfd`` / ``proper_split`` -- coprime fraction
   descriptions of rational matrices.
 
@@ -39,8 +39,8 @@ cross-check, never a verdict.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -734,29 +734,36 @@ def rank_at_point(m, x: Fraction) -> int:
 
 @dataclass
 class SmithForm:
-    """M = U . diag(invariant_factors) . V^T with tracked exact inverses."""
+    """M = U . diag(invariant_factors) . V^T, U and V unimodular.
 
-    U: PolyMat
+    The elimination tracks only U_inv and V_inv, with U_inv . M . V_inv^T
+    the diagonal; U and V are their exact inverses, formed on first read.
+    """
+
     U_inv: PolyMat
-    V: PolyMat
     V_inv: PolyMat
     invariant_factors: tuple
     normal_rank: int
+
+    @cached_property
+    def U(self) -> PolyMat:
+        return unimodular_inverse(self.U_inv)
+
+    @cached_property
+    def V(self) -> PolyMat:
+        return unimodular_inverse(self.V_inv)
 
     def diagonal(self, rows, cols) -> PolyMat:
         return PolyMat.diag(self.invariant_factors, rows=rows, cols=cols)
 
 
 @dataclass
-class SmithMcMillanForm:
-    """G = U . diag(kappas) . V^T over the rational functions."""
+class SmithMcMillanForm(SmithForm):
+    """G = U . diag(kappas) . V^T over the rational functions: the Smith
+    form of d G, d the monic lcm of G's denominators, with kappa_i equal
+    to invariant factor i over d."""
 
-    U: PolyMat
-    U_inv: PolyMat
-    V: PolyMat
-    V_inv: PolyMat
     kappas: tuple
-    normal_rank: int
 
     def diagonal(self, rows, cols) -> RatFunMat:
         out = RatFunMat.zeros(rows, cols)
@@ -785,26 +792,21 @@ class ProperSplit:
 class _Tracker:
     """Elementary row/column operations on S with accumulated transforms.
 
-    Maintains S = L . M . R together with Linv = L^{-1} and Rinv = R^{-1},
-    applying the inverse elementary operation to the inverse accumulator at
-    every step, so all four transforms stay exact.
+    Maintains S = L . M . R with L and R unimodular: each operation on S
+    is applied to L (rows) or R (columns) as well.
     """
 
     def __init__(self, m: PolyMat):
         self.s = [row[:] for row in m.entries]
         self.rows, self.cols = m.rows, m.cols
         self.l = PolyMat.identity(m.rows).entries
-        self.linv = PolyMat.identity(m.rows).entries
         self.r = PolyMat.identity(m.cols).entries
-        self.rinv = PolyMat.identity(m.cols).entries
 
     def swap_rows(self, i, j):
         if i == j:
             return
         self.s[i], self.s[j] = self.s[j], self.s[i]
         self.l[i], self.l[j] = self.l[j], self.l[i]
-        for row in self.linv:
-            row[i], row[j] = row[j], row[i]
 
     def swap_cols(self, i, j):
         if i == j:
@@ -813,15 +815,11 @@ class _Tracker:
             row[i], row[j] = row[j], row[i]
         for row in self.r:
             row[i], row[j] = row[j], row[i]
-        self.rinv[i], self.rinv[j] = self.rinv[j], self.rinv[i]
 
     def scale_row(self, i, c: Fraction):
         c = Poly.const(c)
-        cinv = Poly.const(1 / c.coeffs[0])
         self.s[i] = [c * x for x in self.s[i]]
         self.l[i] = [c * x for x in self.l[i]]
-        for row in self.linv:
-            row[i] = cinv * row[i]
 
     def add_row(self, i, j, q: Poly):
         """row_i += q * row_j"""
@@ -829,8 +827,6 @@ class _Tracker:
             return
         self.s[i] = [x + q * y for x, y in zip(self.s[i], self.s[j])]
         self.l[i] = [x + q * y for x, y in zip(self.l[i], self.l[j])]
-        for row in self.linv:
-            row[j] = row[j] - q * row[i]
 
     def add_col(self, i, j, q: Poly):
         """col_i += q * col_j"""
@@ -840,17 +836,13 @@ class _Tracker:
             row[i] = row[i] + q * row[j]
         for row in self.r:
             row[i] = row[i] + q * row[j]
-        self.rinv[j] = [x - q * y for x, y in
-                        zip(self.rinv[j], self.rinv[i])]
 
     def scale_col(self, i, c: Fraction):
         c = Poly.const(c)
-        cinv = Poly.const(1 / c.coeffs[0])
         for row in self.s:
             row[i] = c * row[i]
         for row in self.r:
             row[i] = c * row[i]
-        self.rinv[i] = [cinv * x for x in self.rinv[i]]
 
     def normalize_row(self, i):
         """Divide out the rational content of working row i (a unit)."""
@@ -871,12 +863,11 @@ def _content(polys) -> Fraction:
                     lcm(*[c.denominator for c in cs]))
 
 
-def smith_form(m: PolyMat, rng: random.Random | None = None) -> SmithForm:
-    """Smith form with tracked unimodular transforms and exact inverses.
+def smith_form(m: PolyMat) -> SmithForm:
+    """Smith form with its tracked unimodular transforms U_inv and V_inv.
 
     The pivot is the nonzero entry of minimal degree in the working
-    submatrix, ties broken by smallest coefficient bit-size (or uniformly
-    at random when ``rng`` is given, used by the uniqueness cross-checks).
+    submatrix, ties broken by smallest coefficient bit-size.
     """
     t = _Tracker(m)
     nr, nc = t.rows, t.cols
@@ -887,13 +878,8 @@ def smith_form(m: PolyMat, rng: random.Random | None = None) -> SmithForm:
                  if not t.s[i][j].is_zero]
         if not cands:
             break
-        if rng is not None:
-            mindeg = min(t.s[i][j].degree for i, j in cands)
-            pool = [ij for ij in cands if t.s[ij[0]][ij[1]].degree == mindeg]
-            pi, pj = pool[rng.randrange(len(pool))]
-        else:
-            pi, pj = min(cands, key=lambda ij: (
-                t.s[ij[0]][ij[1]].degree, t.s[ij[0]][ij[1]].bitsize(), ij))
+        pi, pj = min(cands, key=lambda ij: (
+            t.s[ij[0]][ij[1]].degree, t.s[ij[0]][ij[1]].bitsize(), ij))
         t.swap_rows(k, pi)
         t.swap_cols(k, pj)
         t.normalize_row(k)
@@ -935,24 +921,19 @@ def smith_form(m: PolyMat, rng: random.Random | None = None) -> SmithForm:
         t.scale_row(k, 1 / t.s[k][k].leading)
         k += 1
     factors = tuple(t.s[i][i] for i in range(k))
-    return SmithForm(
-        U=PolyMat(nr, nr, t.linv),
-        U_inv=PolyMat(nr, nr, t.l),
-        V=PolyMat(nc, nc, t.rinv).transpose(),
-        V_inv=PolyMat(nc, nc, t.r).transpose(),
-        invariant_factors=factors,
-        normal_rank=k,
-    )
+    return SmithForm(U_inv=PolyMat(nr, nr, t.l),
+                     V_inv=PolyMat(nc, nc, t.r).transpose(),
+                     invariant_factors=factors, normal_rank=k)
 
 
 def smith_mcmillan(g: RatFunMat) -> SmithMcMillanForm:
     """Smith-McMillan form, built by clearing the common denominator."""
     d, w = g.clear_denominators()
     sf = smith_form(w)
-    kappas = tuple(RatFun(mu, d) for mu in sf.invariant_factors)
     return SmithMcMillanForm(
-        U=sf.U, U_inv=sf.U_inv, V=sf.V, V_inv=sf.V_inv,
-        kappas=kappas, normal_rank=sf.normal_rank)
+        U_inv=sf.U_inv, V_inv=sf.V_inv,
+        invariant_factors=sf.invariant_factors, normal_rank=sf.normal_rank,
+        kappas=tuple(RatFun(mu, d) for mu in sf.invariant_factors))
 
 
 def unimodular_inverse(u: PolyMat) -> PolyMat:

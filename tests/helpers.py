@@ -155,6 +155,16 @@ def rand_wellposed_scm(rng, nds) -> SCMatrix:
     raise RuntimeError("could not draw a well-posed SCM")
 
 
+def model_json(nds, phi) -> dict:
+    """The model-file document of ``nds`` with ``phi`` embedded."""
+    def rows(m):
+        return [[str(x) for x in row] for row in m]
+    return {"time_domain": nds.time_domain, "scm": rows(phi.entries),
+            "subsystems": [{key: rows(getattr(sub, key)) for key in (
+                "E", "A_xx", "B_xv", "B_xu", "C_zx", "C_yx", "D_zv", "D_zu",
+                "D_yv", "D_yu")} for sub in nds.subsystems]}
+
+
 # ---------------------------------------------------------------- oracles
 # Transfer matrices computed over Q(s) by matrix inversion, independent of
 # the point-evaluation route in ndscope.model.

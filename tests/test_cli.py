@@ -1,12 +1,14 @@
 import io
 import json
 import os
+import random
 from contextlib import redirect_stdout, redirect_stderr
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from helpers import model_json, rand_nds, rand_wellposed_scm
 from ndscope.cli import main
 from ndscope.fixtures import demo_model_json
 from ndscope.model import SCMatrix
@@ -146,6 +148,58 @@ class TestCheckIdentifiability:
         monkeypatch.setattr(cli, "cmd_check_identifiability", buggy)
         with pytest.raises(error):
             run_cli(["check-identifiability", model_path])
+
+    def test_internal_value_error_is_not_exit_2(self, model_path,
+                                                monkeypatch):
+        import ndscope.cli as cli
+
+        def buggy(nds, phi0):
+            raise ValueError("bug")
+        monkeypatch.setattr(cli, "check_identifiable_at", buggy)
+        with pytest.raises(ValueError, match="bug"):
+            run_cli(["check-identifiability", model_path])
+
+    @pytest.mark.parametrize("fault", [
+        "scm-json", "constraints-json", "lumped-json", "directions-json",
+        "model-utf8", "lumped-utf8", "seed"])
+    def test_input_fault_exit_2(self, model_path, tmp_path, schema,
+                                monkeypatch, fault):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"{broken" if fault.endswith("json")
+                        else b'{"A": "\xff"}')
+        argv = {
+            "scm-json": ["check-identifiability", model_path, "--scm",
+                         str(bad)],
+            "constraints-json": ["check-identifiability", model_path,
+                                 "--constraints", str(bad)],
+            "lumped-json": ["reconstruct", model_path, "--lumped", str(bad)],
+            "directions-json": ["sweep", model_path, "--directions",
+                                str(bad), "--tau", "0:1:2",
+                                "--out-dir", str(tmp_path / "out")],
+            "model-utf8": ["check-identifiability", str(bad)],
+            "lumped-utf8": ["reconstruct", model_path, "--lumped", str(bad)],
+            "seed": ["region", model_path],
+        }[fault]
+        if fault == "seed":
+            monkeypatch.setenv("NDSCOPE_SEED", "abc")
+        code, doc = run_json(argv, schema)
+        assert code == 2 and doc["error"].startswith("SchemaError")
+
+    def test_both_full_known_entries(self, tmp_path, schema):
+        rng = random.Random(5)
+        nds = rand_nds(rng, "both_full")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(
+            model_json(nds, rand_wellposed_scm(rng, nds))))
+        cpath = tmp_path / "constraints.json"
+        cpath.write_text(json.dumps(
+            {"known_entries": {"J": [1], "I": {"1": [1]}}}))
+        code, doc = run_json(["check-identifiability", str(path),
+                              "--constraints", str(cpath)], schema)
+        assert code == 0
+        assert doc["result"]["verdict"] == "identifiable_by_both_full"
+        assert doc["result"]["per_column"] == {
+            "1": {"kept": [], "fcr": True, "null_basis": []}}
 
     def test_portless_model_not_identifiable(self, tmp_path, schema):
         # no external input or output: every SCM gives the same empty TFM

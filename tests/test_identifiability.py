@@ -19,8 +19,8 @@ from ndscope.identifiability import (
     classify_case, stacked_u2, undiff_region, verify_region_by_tfm,
 )
 from ndscope.model import (
-    AffineConstraint, KnownEntries, NotRegular, SCMatrix, nds_tfm, tfm_equal,
-    transpose_nds,
+    AffineConstraint, KnownEntries, NdsDefinition, NotRegular, SCMatrix,
+    SubsystemRealization, nds_tfm, tfm_equal, transpose_nds,
 )
 from ndscope.polymat import PolyMat, RatFunMat, normal_rank, smith_mcmillan
 from ndscope.model import subsystem_tfms
@@ -170,6 +170,17 @@ class TestStacked:
             got = st.null_basis()
             assert rm.rank(rm.hstack(got, want)) == rm.rank(got) \
                 == rm.rank(want)
+
+    def test_stacked_test_never_forms_u_or_v(self, monkeypatch):
+        # the hat pencil's MFD reads U; the stacked test reads only U^{-1}
+        import ndscope.polymat as polymat
+        pencil = build_xy_pencil_hat(demo_nds())
+
+        def refuse(u):
+            raise AssertionError("unimodular_inverse called")
+        monkeypatch.setattr(polymat, "unimodular_inverse", refuse)
+        st = stacked_u2(pencil, PHI0)
+        assert st.null_basis() == [[F(0)], [F(0)], [F(1)], [F(-2)]]
 
     def test_unimodular_square_pencil_is_vacuously_fcr(self):
         rng = random.Random(5)
@@ -457,6 +468,80 @@ class TestDualPath:
         spec2 = AffineConstraint(base=psi0, directions=(d_vis,))
         rep2 = check_identifiable_parameterized(dual, spec2, (F(0),))
         assert rep2.verdict == IDENTIFIABLE
+
+
+def _ill_posed(c_yx):
+    """One subsystem with D_zv = 1, regular at Phi = 1 where I - Phi D_zv
+    is singular; C_yx = 1 gives case both_full, C_yx = 0 case a3."""
+    one = ((F(1),),)
+    zero = ((F(0),),)
+    return NdsDefinition(subsystems=(SubsystemRealization(
+        E=one, A_xx=((F(-1),),), B_xv=one, B_xu=one, C_zx=one,
+        C_yx=((F(c_yx),),), D_zv=one, D_zu=zero, D_yv=zero, D_yu=zero),))
+
+
+class TestConstrainedPreamble:
+    @pytest.mark.parametrize("c_yx,kind", [(1, BOTH_FULL), (0, A3)])
+    def test_warnings_match_unconstrained(self, c_yx, kind):
+        nds, phi = _ill_posed(c_yx), SCMatrix(((F(1),),))
+        rep = check_identifiable_at(nds, phi)
+        assert (rep.case.kind, rep.warnings) == (kind, ("not_well_posed",))
+        known = check_identifiable_known_entries(nds, phi, KnownEntries(J=()))
+        line = AffineConstraint(base=phi, directions=(SCMatrix(((F(1),),)),))
+        affine = check_identifiable_parameterized(nds, line, (F(0),))
+        assert known.warnings == affine.warnings == rep.warnings
+
+
+def _both_full_pair():
+    """Two both_full subsystems side by side: a 2 x 2 SCM."""
+    rng = random.Random(5)
+    nds = NdsDefinition(subsystems=tuple(
+        sub for _ in range(2) for sub in rand_nds(rng, "both_full").subsystems))
+    return nds, rand_wellposed_scm(rng, nds)
+
+
+class TestBothFullConstrained:
+    """In case both_full every deviation from Phi0 changes the external
+    TFM: the constrained checks test against the identity."""
+
+    def test_single_subsystem_known_entry(self):
+        rng = random.Random(5)
+        nds = rand_nds(rng, "both_full")
+        phi = rand_wellposed_scm(rng, nds)
+        rep = check_identifiable_known_entries(
+            nds, phi, KnownEntries(J=(1,), I={1: (1,)}))
+        assert rep.verdict == IDENTIFIABLE_BY_BOTH_FULL
+        assert rep.per_column == {1: {"kept": [], "fcr": True,
+                                      "null_basis": []}}
+
+    def test_known_entries_every_column_fcr(self):
+        nds, phi = _both_full_pair()
+        assert check_identifiable_at(nds, phi).verdict == \
+            IDENTIFIABLE_BY_BOTH_FULL
+        # the oracle: random deviations all change the external TFM
+        point = UndiffRegion(phi0=phi, basis=[[], []])
+        assert verify_region_by_tfm(nds, phi, point, 0, 5, seed=3)
+        rep = check_identifiable_known_entries(
+            nds, phi, KnownEntries(J=(1,), I={1: (2,)}))
+        assert rep.verdict == IDENTIFIABLE_BY_BOTH_FULL
+        assert rep.per_column == {
+            1: {"kept": [1], "fcr": True, "null_basis": [[]]},
+            2: {"kept": [1, 2], "fcr": True, "null_basis": [[], []]}}
+
+    def test_affine_directions(self):
+        nds, phi = _both_full_pair()
+        d1 = SCMatrix.from_rows([["1", "0"], ["0", "0"]])
+        d2 = SCMatrix.from_rows([["0", "1"], ["1", "0"]])
+        d3 = SCMatrix.from_rows([["2", "0"], ["0", "0"]])
+        free = check_identifiable_parameterized(
+            nds, AffineConstraint(base=phi, directions=(d1, d2)), (0, 0))
+        assert free.verdict == IDENTIFIABLE_BY_BOTH_FULL
+        assert free.theta_null_basis is None
+        # d3 = 2 d1: theta = (1, -1/2) leaves Phi, so H, unchanged
+        tied = check_identifiable_parameterized(
+            nds, AffineConstraint(base=phi, directions=(d1, d3)), (0, 0))
+        assert tied.verdict == NOT_IDENTIFIABLE
+        assert tied.theta_null_basis == [[F(1)], [F(-1, 2)]]
 
 
 class TestKnownEntries:

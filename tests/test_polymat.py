@@ -263,6 +263,8 @@ class TestSmithForm:
             m = rand_polymat(rng, rows, cols, max_deg=2)
             sf = smith_form(m)
             diag = sf.diagonal(rows, cols)
+            # the tracked transforms themselves diagonalise m
+            assert sf.U_inv @ m @ sf.V_inv.transpose() == diag
             assert sf.U @ diag @ sf.V.transpose() == m
             assert sf.U @ sf.U_inv == PolyMat.identity(rows)
             assert sf.U_inv @ sf.U == PolyMat.identity(rows)
@@ -274,16 +276,19 @@ class TestSmithForm:
             for f in sf.invariant_factors:
                 assert f.leading == 1
 
-    def test_invariant_factor_uniqueness_random_pivoting(self):
+    def test_invariant_factors_survive_unimodular_twists(self):
+        # W1 M W2 has the invariant factors of M, whatever pivots the
+        # elimination meets on the way
         rng = random.Random(31)
-        for trial in range(30):
-            m = rand_polymat(rng, rng.randint(1, 3), rng.randint(1, 3),
-                             max_deg=2)
-            base = smith_form(m).invariant_factors
-            again = smith_form(m, rng=random.Random(1000 + trial))
-            assert again.invariant_factors == base
-            assert again.U @ again.diagonal(m.rows, m.cols) \
-                @ again.V.transpose() == m
+        for _ in range(30):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            m = rand_polymat(rng, rows, cols, max_deg=2)
+            twisted = rand_unimodular(rng, rows) @ m \
+                @ rand_unimodular(rng, cols)
+            sf = smith_form(twisted)
+            assert sf.invariant_factors == smith_form(m).invariant_factors
+            assert sf.U @ sf.diagonal(rows, cols) @ sf.V.transpose() \
+                == twisted
 
 
 class TestSmithMcMillan:
@@ -310,6 +315,8 @@ class TestSmithMcMillan:
             rows, cols = rng.randint(1, 3), rng.randint(1, 3)
             g = rand_ratfunmat(rng, rows, cols)
             sm = smith_mcmillan(g)
+            assert sm.U_inv.to_ratfun() @ g @ sm.V_inv.transpose().to_ratfun() \
+                == sm.diagonal(rows, cols)
             assert sm.U.to_ratfun() @ sm.diagonal(rows, cols) \
                 @ sm.V.transpose().to_ratfun() == g
             for a, b in zip(sm.kappas, sm.kappas[1:]):
