@@ -22,32 +22,27 @@ import numpy as np
 
 from . import fixtures, ratmat, svgplot
 from .identifiability import (
-    IDENTIFIABLE, NOT_IDENTIFIABLE, RegionIsTrivial, UndiffRegion, WrongCase,
-    ZeroDiagonal, check_identifiable_at, check_identifiable_known_entries,
-    check_identifiable_parameterized, undiff_region,
+    IDENTIFIABLE, NOT_IDENTIFIABLE, UndiffRegion, check_identifiable_at,
+    check_identifiable_known_entries, check_identifiable_parameterized,
+    undiff_region,
 )
 from .model import (
-    DimensionError, KnownEntries, NotRegular, NotWellPosed, SCMatrix,
-    SchemaError, _index, _json_doc, _parse_matrix, _rows, nds_tfm,
-    parse_constraints, parse_model, parse_rat, tfm_equal,
+    KnownEntries, SCMatrix, SchemaError, _index, _json_doc, _parse_matrix,
+    _rows, nds_tfm, parse_constraints, parse_model, parse_rat, tfm_equal,
 )
-from .polymat import ShapeError
+from .polymat import InputError
 from .reconstruction import (
-    Inconsistent, LumpedModel, NotReconstructible, check_and_recover,
-    check_reconstructible, lump, recover_scm,
+    LumpedModel, check_and_recover, check_reconstructible, lump, recover_scm,
 )
 from .sim import (
-    NoConvergence, SimConfig, SingularE, TooManySamples, Unstable,
-    ZeroSpectrum, choose_sampling, distance_time, exact_tfm, freq_response,
-    hinf_norm, prbs, relative_error, screen, sigma_max, simulate, tau_sweep,
+    NoConvergence, SimConfig, TooManySamples, choose_sampling, distance_time,
+    exact_tfm, freq_response, hinf_norm, prbs, relative_error, screen,
+    sigma_max, simulate, tau_sweep,
 )
 
 DEFAULT_SEED = 0
 
-INPUT_ERRORS = (SchemaError, DimensionError, ShapeError, NotRegular,
-                NotWellPosed, NotReconstructible, Inconsistent, WrongCase,
-                RegionIsTrivial, ZeroDiagonal, ZeroSpectrum, SingularE,
-                Unstable, OSError)
+INPUT_ERRORS = (InputError, OSError)
 
 
 def frac_str(x) -> str:

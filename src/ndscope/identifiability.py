@@ -35,10 +35,11 @@ from fractions import Fraction
 from . import ratmat
 from .model import (
     NdsDefinition, NotRegular, SCMatrix, SchemaError, SubsystemTfms,
-    check_nds_regular, check_well_posed, nds_tfm, subsystem_tfms, tfm_equal,
+    check_nds_regular, check_well_posed, nds_tfm, per_distinct,
+    subsystem_tfms, tfm_equal,
 )
 from .polymat import (
-    NEG_INF, PolyMat, ShapeError, normal_rank, proper_split,
+    NEG_INF, InputError, PolyMat, ShapeError, normal_rank, proper_split,
     right_coprime_mfd, smith_form, smith_mcmillan,
 )
 
@@ -52,15 +53,15 @@ NOT_IDENTIFIABLE = "not_identifiable"
 IDENTIFIABLE_BY_BOTH_FULL = "identifiable_by_both_full"
 
 
-class WrongCase(ValueError):
+class WrongCase(InputError, ValueError):
     """Pencil constructor called for an instance of a different case."""
 
 
-class RegionIsTrivial(ValueError):
+class RegionIsTrivial(InputError, ValueError):
     """No undifferentiable region exists at an identifiable SCM."""
 
 
-class ZeroDiagonal(ValueError):
+class ZeroDiagonal(InputError, ValueError):
     """Augmented test requires a diagonal with nonzero entries."""
 
 
@@ -180,11 +181,13 @@ class UndiffRegion:
 
 def classify_case(nds: NdsDefinition,
                   tfms_per_sub=None) -> CaseTag:
-    """Exact normal-rank classification of the instance."""
+    """Exact normal-rank classification of the instance; the ranks are
+    taken once per distinct object in ``tfms_per_sub``."""
     if tfms_per_sub is None:
-        tfms_per_sub = [subsystem_tfms(sub) for sub in nds.subsystems]
-    zu_ranks = tuple(normal_rank(t.G_zu) for t in tfms_per_sub)
-    yv_ranks = tuple(normal_rank(t.G_yv) for t in tfms_per_sub)
+        tfms_per_sub = per_distinct(subsystem_tfms, nds.subsystems)
+    ranks = per_distinct(lambda t: (normal_rank(t.G_zu), normal_rank(t.G_yv)),
+                         tfms_per_sub, key=id)
+    zu_ranks, yv_ranks = (tuple(r) for r in zip(*ranks))
     zu_full = all(r == s.n_z for r, s in zip(zu_ranks, nds.subsystems))
     yv_full = all(r == s.n_v for r, s in zip(yv_ranks, nds.subsystems))
     if zu_full and yv_full:
@@ -199,8 +202,11 @@ def classify_case(nds: NdsDefinition,
 
 
 def _classified(nds: NdsDefinition):
-    """Per-subsystem transfer matrices, computed once, and the case."""
-    tfms = [subsystem_tfms(sub) for sub in nds.subsystems]
+    """Per-subsystem transfer matrices and the case.  Equal subsystems
+    share one ``SubsystemTfms`` object, so everything keyed on that object
+    below (ranks, dual transposes, pencil blocks) runs once per distinct
+    subsystem."""
+    tfms = per_distinct(subsystem_tfms, nds.subsystems)
     return tfms, classify_case(nds, tfms)
 
 
@@ -237,13 +243,16 @@ def _pencil_blocks(tfms, hat: bool, twist=None):
 
 def _build_pencil(tfms_per_sub, hat: bool, case: CaseTag,
                   twists=None) -> IdentPencil:
-    xs, ys = [], []
-    for k, tfms in enumerate(tfms_per_sub):
-        twist = twists[k] if twists is not None else None
-        n_blk, d_blk = _pencil_blocks(tfms, hat, twist)
-        xs.append(d_blk)
-        ys.append(n_blk)
-    return IdentPencil(X=PolyMat.block_diag(xs), Y=PolyMat.block_diag(ys),
+    """Block-diagonal pencil; blocks are built once per distinct
+    ``SubsystemTfms`` object unless per-slot ``twists`` are given."""
+    if twists is None:
+        blocks = per_distinct(lambda t: _pencil_blocks(t, hat), tfms_per_sub,
+                              key=id)
+    else:
+        blocks = [_pencil_blocks(t, hat, twists[k])
+                  for k, t in enumerate(tfms_per_sub)]
+    return IdentPencil(X=PolyMat.block_diag([d for _, d in blocks]),
+                       Y=PolyMat.block_diag([n for n, _ in blocks]),
                        case=case, hat=hat)
 
 
@@ -402,9 +411,10 @@ def _stacked_for_case(nds: NdsDefinition, phi0: SCMatrix, case: CaseTag,
     if case.kind != DUAL_A3:
         pencil = _build_pencil(tfms_per_sub, hat=case.kind == A3, case=case)
         return _portless_zero(nds, stacked_u2(pencil, phi0)), False
-    dual = [SubsystemTfms(G_yu=t.G_yu.transpose(), G_yv=t.G_zu.transpose(),
-                          G_zu=t.G_yv.transpose(), G_zv=t.G_zv.transpose())
-            for t in tfms_per_sub]
+    dual = per_distinct(lambda t: SubsystemTfms(
+        G_yu=t.G_yu.transpose(), G_yv=t.G_zu.transpose(),
+        G_zu=t.G_yv.transpose(), G_zv=t.G_zv.transpose()),
+        tfms_per_sub, key=id)
     dual_case = CaseTag(kind=A3, zu_ranks=case.yv_ranks,
                         yv_ranks=case.zu_ranks)
     pencil = _build_pencil(dual, hat=True, case=dual_case)

@@ -25,22 +25,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ratmat
-from .polymat import Poly, PolyMat, RatFun, RatFunMat, ShapeError
+from .polymat import InputError, Poly, PolyMat, RatFun, RatFunMat, ShapeError
 
 
-class SchemaError(ValueError):
+class SchemaError(InputError, ValueError):
     """Malformed model file."""
 
 
-class DimensionError(ValueError):
+class DimensionError(InputError, ValueError):
     """Inconsistent matrix shapes in a model."""
 
 
-class NotRegular(ArithmeticError):
+class NotRegular(InputError, ArithmeticError):
     """det(lambda E - A) vanishes identically."""
 
 
-class NotWellPosed(ArithmeticError):
+class NotWellPosed(InputError, ArithmeticError):
     """I - Phi D_zv is singular."""
 
 
@@ -529,9 +529,25 @@ def subsystem_tfms(sub: SubsystemRealization) -> SubsystemTfms:
     )
 
 
+def per_distinct(fn, items, key=None):
+    """``[fn(x) for x in items]`` with ``fn`` run once per distinct
+    ``key(x)`` (default: x itself) and its result object reused for every
+    repeat.  The memo lives for this call only."""
+    memo, out = {}, []
+    for x in items:
+        k = x if key is None else key(x)
+        # memo marks a miss, so a repeat hashes its (costly) key only once
+        r = memo.get(k, memo)
+        if r is memo:
+            r = memo[k] = fn(x)
+        out.append(r)
+    return out
+
+
 def assemble_block_tfms(nds: NdsDefinition) -> SubsystemTfms:
-    """Block-diagonal transfer matrices of the disconnected subsystem stack."""
-    per = [subsystem_tfms(sub) for sub in nds.subsystems]
+    """Block-diagonal transfer matrices of the disconnected subsystem stack,
+    one ``subsystem_tfms`` per distinct subsystem."""
+    per = per_distinct(subsystem_tfms, nds.subsystems)
     return SubsystemTfms(
         G_yu=RatFunMat.block_diag([t.G_yu for t in per]),
         G_yv=RatFunMat.block_diag([t.G_yv for t in per]),
@@ -568,9 +584,12 @@ def lifted_realization(nds: NdsDefinition, phi: SCMatrix):
 
 
 def _check_subsystems(nds: NdsDefinition):
-    for k, sub in enumerate(nds.subsystems):
-        if not check_subsystem_regular(sub):
-            raise NotRegular(f"subsystem {k + 1} is not regular")
+    """Raise NotRegular naming the first irregular subsystem; regularity
+    is decided once per distinct subsystem."""
+    regular = per_distinct(check_subsystem_regular, nds.subsystems)
+    if not all(regular):
+        raise NotRegular(
+            f"subsystem {regular.index(False) + 1} is not regular")
 
 
 def check_nds_regular(nds: NdsDefinition, phi: SCMatrix) -> bool:

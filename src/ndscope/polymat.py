@@ -53,7 +53,12 @@ class NotUnimodular(ArithmeticError):
     """Square polynomial matrix whose determinant is not a nonzero constant."""
 
 
-class ShapeError(ValueError):
+class InputError(Exception):
+    """Mixin of every fault in the user's input, each next to its usual
+    base (ValueError or ArithmeticError); the CLI exits 2 on these."""
+
+
+class ShapeError(InputError, ValueError):
     pass
 
 

@@ -32,14 +32,14 @@ from .model import (
     NdsDefinition, NotRegular, NotWellPosed, SCMatrix, check_nds_regular,
     descriptor_tfm, lifted_realization,
 )
-from .polymat import RatFunMat, ShapeError
+from .polymat import InputError, RatFunMat, ShapeError
 
 
-class NotReconstructible(ArithmeticError):
+class NotReconstructible(InputError, ArithmeticError):
     """K is not FCR or L is not FRR; the SCM is not uniquely recoverable."""
 
 
-class Inconsistent(ArithmeticError):
+class Inconsistent(InputError, ArithmeticError):
     """The candidate model cannot be realized by any SCM."""
 
 

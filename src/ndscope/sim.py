@@ -59,7 +59,7 @@ from .model import (
     NdsDefinition, NotRegular, NotWellPosed, SCMatrix, check_nds_regular,
     check_well_posed, nds_tfm,
 )
-from .polymat import RatFunMat, ShapeError
+from .polymat import InputError, RatFunMat, ShapeError
 from .reconstruction import lump
 
 STABILITY_TOL = 1e-10
@@ -77,15 +77,15 @@ class NoConvergence(ArithmeticError):
     """Eigenvalue or SVD iteration failed to converge."""
 
 
-class SingularE(ArithmeticError):
+class SingularE(InputError, ArithmeticError):
     """Simulation requires an invertible lumped E (no impulsive modes)."""
 
 
-class ZeroSpectrum(ArithmeticError):
+class ZeroSpectrum(InputError, ArithmeticError):
     """Sampling rules need nonzero eigenvalue magnitudes."""
 
 
-class Unstable(ArithmeticError):
+class Unstable(InputError, ArithmeticError):
     """The H-infinity distance is undefined for unstable systems."""
 
 

@@ -159,6 +159,30 @@ class TestCheckIdentifiability:
         with pytest.raises(ValueError, match="bug"):
             run_cli(["check-identifiability", model_path])
 
+    def test_input_errors_share_one_base(self):
+        # every input fault exits 2 through one base; program faults do not
+        import ndscope.cli as cli
+        from ndscope import identifiability as ident, model, polymat, ratmat
+        from ndscope import reconstruction as rec, sim
+        former = {
+            model.SchemaError: ValueError, model.DimensionError: ValueError,
+            polymat.ShapeError: ValueError, model.NotRegular: ArithmeticError,
+            model.NotWellPosed: ArithmeticError,
+            rec.NotReconstructible: ArithmeticError,
+            rec.Inconsistent: ArithmeticError, ident.WrongCase: ValueError,
+            ident.RegionIsTrivial: ValueError,
+            ident.ZeroDiagonal: ValueError, sim.ZeroSpectrum: ArithmeticError,
+            sim.SingularE: ArithmeticError, sim.Unstable: ArithmeticError,
+        }
+        assert cli.INPUT_ERRORS == (polymat.InputError, OSError)
+        for exc, base in former.items():
+            assert issubclass(exc, polymat.InputError), exc
+            assert issubclass(exc, base), exc
+        for exc in (polymat.BrokenInvariant, polymat.NotUnimodular,
+                    ratmat.SingularMatrixError, sim.NoConvergence,
+                    sim.TooManySamples):
+            assert not issubclass(exc, polymat.InputError), exc
+
     @pytest.mark.parametrize("fault", [
         "scm-json", "constraints-json", "lumped-json", "directions-json",
         "model-utf8", "lumped-utf8", "seed"])

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -5,7 +6,8 @@ import pytest
 
 import ndscope.ratmat as rm
 from helpers import (
-    field_poly_solve, rand_nds, rand_unimodular, rand_wellposed_scm,
+    field_poly_solve, model_json, rand_nds, rand_unimodular,
+    rand_wellposed_scm,
 )
 from ndscope.fixtures import (
     PHI0, PHI_DIFF, PHI_EQUIV, SWEEP_DIRECTIONS, demo_nds,
@@ -20,7 +22,8 @@ from ndscope.identifiability import (
 )
 from ndscope.model import (
     AffineConstraint, KnownEntries, NdsDefinition, NotRegular, SCMatrix,
-    SubsystemRealization, nds_tfm, tfm_equal, transpose_nds,
+    SubsystemRealization, check_nds_regular, check_well_posed, nds_tfm,
+    parse_model, tfm_equal, transpose_nds,
 )
 from ndscope.polymat import PolyMat, RatFunMat, normal_rank, smith_mcmillan
 from ndscope.model import subsystem_tfms
@@ -697,3 +700,167 @@ class TestPortless:
         rep = check_identifiable_augmented(_portless(0, 0), self.PHI)
         assert rep.verdict == NOT_IDENTIFIABLE
         assert rep.null_basis == [[F(1)]]
+
+
+def _demo_chain(n, rng):
+    """n copies of the demo subsystem, copy k + 1 fed by copy k's z."""
+    sub = demo_nds().subsystems[0]
+    rows = [[F(0)] * n for _ in range(2 * n)]
+    for k in range(n - 1):
+        rows[2 * (k + 1)][k] = F(rng.choice((1, 2, 3, 5, 7)),
+                                 rng.choice((1, 2, 4)))
+    return NdsDefinition(subsystems=(sub,) * n), SCMatrix.from_rows(rows)
+
+
+def _count_calls(monkeypatch):
+    """Count the per-subsystem work of one check by name."""
+    import ndscope.identifiability as ident
+    import ndscope.model as model
+    calls = {}
+    for mod, name in ((ident, "subsystem_tfms"), (ident, "_pencil_blocks"),
+                      (model, "check_subsystem_regular")):
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def _separately_parsed(nds, phi):
+    """(an equal network whose subsystems are distinct objects, each parsed
+    from its own entry of a model file, and its SCM)."""
+    parsed, phi_p, _ = parse_model(json.dumps(model_json(nds, phi)))
+    assert parsed == nds and len(set(map(id, parsed.subsystems))) == nds.n
+    return parsed, phi_p
+
+
+def _per_slot(monkeypatch):
+    """Turn the sharing off: every slot does its own work."""
+    import ndscope.identifiability as ident
+    import ndscope.model as model
+    for mod in (ident, model):
+        monkeypatch.setattr(mod, "per_distinct",
+                            lambda fn, items, key=None: [fn(x) for x in items])
+
+
+class TestPerDistinctSubsystem:
+    """Per-subsystem work runs once per distinct subsystem within a call,
+    and never leaks from one call into the next."""
+
+    def _dual_repeat(self):
+        nds, phi = _demo_chain(3, random.Random(3))
+        return transpose_nds(nds), phi.transpose()
+
+    @pytest.mark.parametrize("which", ["chain6", "demo", "dual_a3"])
+    def test_once_per_check(self, which, monkeypatch):
+        nds, phi = {"chain6": lambda: _demo_chain(6, random.Random(6)),
+                    "demo": lambda: (demo_nds(), PHI0),
+                    "dual_a3": self._dual_repeat}[which]()
+        calls = _count_calls(monkeypatch)
+        rep = check_identifiable_at(nds, phi)
+        assert rep.case.kind == (DUAL_A3 if which == "dual_a3" else A3)
+        assert calls == {"subsystem_tfms": 1, "_pencil_blocks": 1,
+                         "check_subsystem_regular": 1}
+        # no memo outlives the call
+        assert check_identifiable_at(nds, phi) == rep
+        assert calls == {"subsystem_tfms": 2, "_pencil_blocks": 2,
+                         "check_subsystem_regular": 2}
+
+    def test_aba_slots(self, monkeypatch):
+        rng = random.Random(83)
+        a, b = rand_nds(rng, "a3").subsystems
+        nds = NdsDefinition(subsystems=(a, b, a))
+        per_slot = [_pencil_blocks(subsystem_tfms(s), True)
+                    for s in nds.subsystems]
+        calls = _count_calls(monkeypatch)
+        pencil = build_xy_pencil_hat(nds)
+        assert calls["subsystem_tfms"] == calls["_pencil_blocks"] == 2
+        assert pencil.X == PolyMat.block_diag([d for _, d in per_slot])
+        assert pencil.Y == PolyMat.block_diag([n for n, _ in per_slot])
+
+    def test_twists_stay_per_slot(self, monkeypatch):
+        rng = random.Random(89)
+        nds, _ = _demo_chain(3, rng)
+        tfms = [subsystem_tfms(sub) for sub in nds.subsystems[:1]] * 3
+        twists = [(rand_unimodular(rng, 2), rand_unimodular(rng, 1))
+                  for _ in range(3)]
+        calls = _count_calls(monkeypatch)
+        _build_pencil(tfms, hat=True, case=classify_case(nds, tfms),
+                      twists=twists)
+        assert calls["_pencil_blocks"] == 3
+
+    def _networks(self):
+        rng = random.Random(97)
+        chain, chain_phi = _demo_chain(4, rng)
+        a, b = rand_nds(rng, "a2").subsystems
+        a2 = NdsDefinition(subsystems=(a, b, a))
+        # slots whose G_yv ranks differ (1, 0, 1)
+        demo, blind = demo_nds().subsystems[0], _portless(1, 0).subsystems[0]
+        mixed = NdsDefinition(subsystems=(demo, blind, demo))
+        yield chain, chain_phi
+        yield self._dual_repeat()
+        yield a2, rand_wellposed_scm(rng, a2)
+        mixed_phi = rand_wellposed_scm(rng, mixed)
+        yield mixed, mixed_phi
+        yield transpose_nds(mixed), mixed_phi.transpose()
+
+    def test_reports_equal_per_slot_reports(self, monkeypatch):
+        def reports(nds, phi):
+            out = [check_identifiable_at(nds, phi),
+                   check_identifiable_known_entries(
+                       nds, phi, KnownEntries(J=(1,), I={1: (1, 2)}))]
+            dirs = (SCMatrix.from_rows(
+                [[int(i == j) for j in range(phi.cols)]
+                 for i in range(phi.rows)]),
+                SCMatrix.from_rows([[1] * phi.cols] * phi.rows))
+            spec = AffineConstraint(base=phi, directions=dirs)
+            out.append(check_identifiable_parameterized(nds, spec, (0, 0)))
+            if out[0].case.kind == A2:
+                out.append(check_identifiable_augmented(nds, phi))
+            return out
+
+        shared = [reports(nds, phi) for nds, phi in self._networks()]
+        _per_slot(monkeypatch)
+        separate = [reports(*_separately_parsed(nds, phi))
+                    for nds, phi in self._networks()]
+        assert shared == separate
+        assert [len(r) for r in shared] == [3, 3, 4, 3, 3]
+        assert shared[3][0].case.yv_ranks == (1, 0, 1)
+        assert shared[4][0].case.kind == DUAL_A3
+
+
+# The one-subsystem case-a2 reproducer of the ROADMAP defect list.
+A2_DEFECT = {
+    "time_domain": "continuous",
+    "subsystems": [{
+        "E": [["1"]], "A_xx": [["5/4"]], "B_xv": [["-3", "3/2"]],
+        "B_xu": [["7/4"]], "C_zx": [["-7/4"], ["3/4"]], "C_yx": [["-7/4"]],
+        "D_zv": [["9/4", "-1/2"], ["5/4", "-5/4"]],
+        "D_zu": [["5/2"], ["3/2"]], "D_yv": [["1", "-1/2"]], "D_yu": [["3"]],
+    }],
+    "scm": [["-3", "0"], ["0", "3"]],
+}
+A2_DEFECT_TWINS = ([["-2", "0"], ["23/19", "3"]],
+                   [["-3", "1"], ["0", "80/19"]])
+
+
+class TestA2Defect:
+    def test_twins_share_phi0_tfm(self):
+        nds, phi0, _ = parse_model(json.dumps(A2_DEFECT))
+        h0 = nds_tfm(nds, phi0)
+        for rows in A2_DEFECT_TWINS:
+            phi = SCMatrix.from_rows(rows)
+            assert phi != phi0
+            assert check_nds_regular(nds, phi) and check_well_posed(nds, phi)
+            assert tfm_equal(nds_tfm(nds, phi), h0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="case a2 reports identifiable although other SCMs give "
+               "Phi0's exact TFM (ROADMAP direction 1: a witness oracle "
+               "and a correct a2 verdict)")
+    def test_verdict_is_not_identifiable(self):
+        nds, phi0, _ = parse_model(json.dumps(A2_DEFECT))
+        rep = check_identifiable_at(nds, phi0)
+        assert rep.case.kind == A2
+        assert rep.verdict != IDENTIFIABLE

@@ -155,6 +155,54 @@ class TestBlockAssembly:
         assert t1.G_zv == t2.G_zv and t1.G_yu == t2.G_yu
 
 
+class TestPerDistinctSubsystem:
+    """Regularity and subsystem TFMs run once per distinct subsystem
+    within one call."""
+
+    def _counted(self, monkeypatch, name):
+        import ndscope.model as model
+        calls = []
+        fn = getattr(model, name)
+
+        def counted(sub):
+            calls.append(sub)
+            return fn(sub)
+        monkeypatch.setattr(model, name, counted)
+        return calls
+
+    def test_regularity_once_per_distinct(self, monkeypatch):
+        a, b = rand_nds(random.Random(5), "a3").subsystems
+        nds = type(demo_nds())(subsystems=(a, b, a, a))
+        phi = SCMatrix.zero(nds.m_v, nds.m_z)
+        calls = self._counted(monkeypatch, "check_subsystem_regular")
+        assert check_nds_regular(nds, phi)
+        assert calls == [a, b]
+        nds_tfm(nds, phi)
+        assert calls == [a, b, a, b]
+
+    def test_first_irregular_slot_is_named(self):
+        good = demo_nds().subsystems[0]
+        bad = SubsystemRealization(
+            E=((F(0),),), A_xx=((F(0),),), B_xv=((F(1),),),
+            B_xu=((F(1),),), C_zx=((F(1),),), C_yx=((F(1),),),
+            D_zv=((F(0),),), D_zu=((F(0),),), D_yv=((F(0),),),
+            D_yu=((F(0),),))
+        nds = type(demo_nds())(subsystems=(good, bad, good, bad))
+        with pytest.raises(NotRegular, match="subsystem 2 is not regular"):
+            check_nds_regular(nds, SCMatrix.zero(nds.m_v, nds.m_z))
+
+    def test_block_tfms_once_per_distinct(self, monkeypatch):
+        a, b = rand_nds(random.Random(7), "a2").subsystems
+        nds = type(demo_nds())(subsystems=(b, a, b))
+        per_slot = [subsystem_tfms(sub) for sub in nds.subsystems]
+        calls = self._counted(monkeypatch, "subsystem_tfms")
+        t = assemble_block_tfms(nds)
+        assert calls == [b, a]
+        for name in ("G_yu", "G_yv", "G_zu", "G_zv"):
+            assert getattr(t, name) == RatFunMat.block_diag(
+                [getattr(p, name) for p in per_slot])
+
+
 class TestRegularityWellPosedness:
     def test_fixture_scms(self):
         nds = demo_nds()
