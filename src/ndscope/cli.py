@@ -32,15 +32,21 @@ from .model import (
 )
 from .polymat import InputError
 from .reconstruction import (
-    LumpedModel, check_and_recover, check_reconstructible, lump, recover_scm,
+    LUMPED_SHAPES, LumpedModel, check_and_recover, check_reconstructible,
+    lump, recover_scm,
 )
 from .sim import (
     NoConvergence, SimConfig, TooManySamples, choose_sampling, distance_time,
-    exact_tfm, freq_response, hinf_norm, prbs, relative_error, screen,
-    sigma_max, simulate, tau_sweep,
+    freq_response, hinf_norm, prbs, relative_error, screen, sigma_max,
+    simulate, tau_sweep,
 )
 
 DEFAULT_SEED = 0
+# longest accepted tau grid: 500 times the paper's 201 points.  A sweep
+# row costs tens of milliseconds, so such a grid already runs for hours
+# per direction; a longer one is almost surely a mistyped step, and is
+# refused before any point is built.
+MAX_TAU_POINTS = 100_000
 
 INPUT_ERRORS = (InputError, OSError)
 
@@ -209,15 +215,13 @@ def _load_lumped(path, nds) -> LumpedModel:
     doc = _load_json(path, "lumped model file")
     if not isinstance(doc, dict):
         raise SchemaError("lumped model file must be a JSON object")
-    shapes = {"A": (nds.m_x, nds.m_x), "B": (nds.m_x, nds.m_u),
-              "C": (nds.m_y, nds.m_x), "D": (nds.m_y, nds.m_u)}
     parsed = {}
-    for key, (rows, cols) in shapes.items():
+    for key, (r, c) in LUMPED_SHAPES.items():
         if key not in doc:
             raise SchemaError(f"lumped model file is missing {key!r}")
         name = f"lumped {key}"
-        parsed[key + "_hat"] = _parse_matrix(_rows(doc[key], name),
-                                             rows, cols, name)
+        parsed[key + "_hat"] = _parse_matrix(
+            _rows(doc[key], name), nds.total(r), nds.total(c), name)
     return LumpedModel(E_hat=ratmat.freeze(nds.block("E")), **parsed)
 
 
@@ -269,14 +273,13 @@ def cmd_lump(args) -> int:
 
 def _simulate_pair(nds, phi_a, phi_b, seed):
     """(T, M, u, trajectories, screenings) of two SCMs under one PRBS."""
-    screens = (screen(nds, phi_a), screen(nds, phi_b))
-    real_a, real_b = (s.require(f"system {name}")
-                      for name, s in zip("ab", screens))
-    t, m = choose_sampling(real_a.a, real_b.a)
+    screens = tuple(screen(nds, phi).require(f"system {name}")
+                    for name, phi in zip("ab", (phi_a, phi_b)))
+    t, m = choose_sampling(*(s.margins for s in screens))
     u = prbs(seed, m, nds.m_u)
     cfg = SimConfig(T=t, M=m, seed=seed)
-    return t, m, u, (simulate(real_a, u, cfg), simulate(real_b, u, cfg)), \
-        screens
+    return t, m, u, tuple(simulate(s.realization, u, cfg)
+                          for s in screens), screens
 
 
 def cmd_simulate(args) -> int:
@@ -291,8 +294,7 @@ def cmd_simulate(args) -> int:
                    else None for j in range(err.shape[1])]
     d_t = distance_time(tr_a, tr_b)
     # both SCMs passed the checks of distance_freq in the screening
-    d_f = hinf_norm(exact_tfm(nds, phi_a) - exact_tfm(nds, phi_b),
-                    nds.time_domain)
+    d_f = hinf_norm(screens[0].tfm - screens[1].tfm, nds.time_domain)
     artifacts = []
     out = args.out_dir or "."
     header = (["t"]
@@ -338,8 +340,11 @@ def _parse_tau_grid(text: str):
     if step <= 0:
         raise SchemaError("tau step must be positive")
     # exact rationals: start + k step for every k with the point <= stop
-    return [start + k * step
-            for k in range(max(0, math.floor((stop - start) / step) + 1))]
+    count = max(0, math.floor((stop - start) / step) + 1)
+    if count > MAX_TAU_POINTS:
+        raise SchemaError(f"tau grid has {count} points; the limit is "
+                          f"{MAX_TAU_POINTS}")
+    return [start + k * step for k in range(count)]
 
 
 def _sweep_one(packed):
@@ -350,6 +355,13 @@ def _sweep_one(packed):
 def _chunks(seq, n):
     size = max(1, -(-len(seq) // n))
     return [seq[i:i + size] for i in range(0, len(seq), size)]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def cmd_sweep(args) -> int:
@@ -380,7 +392,10 @@ def cmd_sweep(args) -> int:
                  for k, d in enumerate(directions)
                  for chunk in _chunks(taus, per_dir)]
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts every worker at once: no more than there are
+        # tasks or CPUs to run them
+        workers = min(jobs, len(tasks), _usable_cpus())
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, [t for _, t in tasks]))
         all_rows = [[] for _ in directions]
         for (k, _), rows in zip(tasks, results):
@@ -551,19 +566,21 @@ def _spot_value_scan(nds, phi0, direction):
     """Retained-grid d_F maximum for one direction plus the graze probe;
     a grid point is retained when it passes ``sim.screen``."""
     delta = ratmat.sub(direction.as_lists(), phi0.as_lists())
-    h0 = exact_tfm(nds, phi0)
+
+    def screened(tau):
+        return screen(nds, SCMatrix(ratmat.freeze(ratmat.add(
+            phi0.as_lists(), ratmat.scale(delta, tau)))))
+    grid = [(tau, screened(tau)) for tau in _parse_tau_grid("0:1/10:20")]
+    # the grid starts at tau = 0, which is Phi0 itself
+    h0 = grid[0][1].require("the reference system of the scan").tfm
     best, best_tau = -1.0, None
-    for tau in _parse_tau_grid("0:1/10:20"):
-        phi = SCMatrix(ratmat.freeze(ratmat.add(
-            phi0.as_lists(), ratmat.scale(delta, tau))))
-        if screen(nds, phi).reason is not None:
+    for tau, s in grid:
+        if s.reason is not None:
             continue
-        d_f = hinf_norm(exact_tfm(nds, phi) - h0, nds.time_domain)
+        d_f = hinf_norm(s.tfm - h0, nds.time_domain)
         if d_f > best:
             best, best_tau = d_f, tau
-    phi_g = SCMatrix(ratmat.freeze(ratmat.add(
-        phi0.as_lists(), ratmat.scale(delta, Fraction(111, 100)))))
-    diff = exact_tfm(nds, phi_g) - h0
+    diff = screened(Fraction(111, 100)).require("the graze point").tfm - h0
     sup = float(sigma_max(diff, np.array([0.0 + 0.0j]))[0])
     return {"max_dF_retained": best, "argmax_tau": str(best_tau),
             "sup_sigma_at_1_11": sup}

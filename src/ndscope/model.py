@@ -88,6 +88,16 @@ def _parse_matrix(raw, rows, cols, name):
     return tuple(out)
 
 
+# (row dim, column dim) of every subsystem matrix, by port letter:
+# x state, v/z internal input/output, u/y external input/output
+SUB_SHAPES = {
+    "E": ("x", "x"), "A_xx": ("x", "x"), "B_xv": ("x", "v"),
+    "B_xu": ("x", "u"), "C_zx": ("z", "x"), "C_yx": ("y", "x"),
+    "D_zv": ("z", "v"), "D_zu": ("z", "u"), "D_yv": ("y", "v"),
+    "D_yu": ("y", "u"),
+}
+
+
 @dataclass(frozen=True)
 class SubsystemRealization:
     """Constant matrices of one descriptor-form subsystem."""
@@ -107,23 +117,13 @@ class SubsystemRealization:
         n_x = len(self.E)
         if n_x == 0:
             raise DimensionError("state dimension must be positive")
-        for name in ("E", "A_xx"):
-            m = getattr(self, name)
-            if len(m) != n_x or any(len(r) != n_x for r in m):
-                raise DimensionError(f"{name} must be {n_x}x{n_x}")
+        # n_v and n_u are the widths of the first rows of B_xv and B_xu
         if len(self.B_xv) != n_x or len(self.B_xu) != n_x:
             raise DimensionError(f"B_xv and B_xu must have {n_x} rows")
-        n_v, n_u = self.n_v, self.n_u
-        n_z, n_y = self.n_z, self.n_y
-        if n_v == 0 or n_z == 0:
+        if self.n_v == 0 or self.n_z == 0:
             raise DimensionError("internal dimensions must be positive")
-        checks = [
-            ("B_xv", n_x, n_v), ("B_xu", n_x, n_u),
-            ("C_zx", n_z, n_x), ("C_yx", n_y, n_x),
-            ("D_zv", n_z, n_v), ("D_zu", n_z, n_u),
-            ("D_yv", n_y, n_v), ("D_yu", n_y, n_u),
-        ]
-        for name, r, c in checks:
+        for name, (r, c) in SUB_SHAPES.items():
+            r, c = getattr(self, "n_" + r), getattr(self, "n_" + c)
             m = getattr(self, name)
             if len(m) != r or any(len(row) != c for row in m):
                 raise DimensionError(f"{name} must be {r}x{c}")
@@ -197,13 +197,7 @@ class NdsDefinition:
     def block(self, name: str):
         """Block-diagonal assembly of a per-subsystem constant matrix."""
         mats = [ratmat.thaw(getattr(s, name)) for s in self.subsystems]
-        dims = {
-            "E": ("x", "x"), "A_xx": ("x", "x"), "B_xv": ("x", "v"),
-            "B_xu": ("x", "u"), "C_zx": ("z", "x"), "C_yx": ("y", "x"),
-            "D_zv": ("z", "v"), "D_zu": ("z", "u"), "D_yv": ("y", "v"),
-            "D_yu": ("y", "u"),
-        }
-        rdim, cdim = dims[name]
+        rdim, cdim = SUB_SHAPES[name]
         rows = self.total(rdim)
         cols = self.total(cdim)
         out = ratmat.zeros(rows, cols)
@@ -312,10 +306,6 @@ class SubsystemTfms:
     G_zv: RatFunMat
 
 
-_SUB_KEYS = ("E", "A_xx", "B_xv", "B_xu", "C_zx", "C_yx",
-             "D_zv", "D_zu", "D_yv", "D_yu")
-
-
 def parse_model(text):
     """Parse a JSON model file.
 
@@ -336,12 +326,12 @@ def parse_model(text):
     for k, raw in enumerate(doc["subsystems"]):
         if not isinstance(raw, dict):
             raise SchemaError(f"subsystem {k + 1} must be an object")
-        missing = [key for key in _SUB_KEYS if key not in raw]
+        missing = [key for key in SUB_SHAPES if key not in raw]
         if missing:
             raise SchemaError(
                 f"subsystem {k + 1} is missing {', '.join(missing)}")
         # types first: the dimensions below index into these lists
-        for key in _SUB_KEYS:
+        for key in SUB_SHAPES:
             _rows(raw[key], f"subsystem {k + 1}.{key}")
         n_x = len(raw["E"])
         if n_x == 0:
@@ -349,19 +339,12 @@ def parse_model(text):
         b_xv = raw["B_xv"]
         if len(b_xv) != n_x:
             raise DimensionError(f"subsystem {k + 1}: B_xv must have {n_x} rows")
-        n_v = len(b_xv[0])
-        n_u = len(raw["B_xu"][0]) if raw["B_xu"] else 0
-        n_z = len(raw["C_zx"])
-        n_y = len(raw["C_yx"])
-        fields = {
-            "E": (n_x, n_x), "A_xx": (n_x, n_x),
-            "B_xv": (n_x, n_v), "B_xu": (n_x, n_u),
-            "C_zx": (n_z, n_x), "C_yx": (n_y, n_x),
-            "D_zv": (n_z, n_v), "D_zu": (n_z, n_u),
-            "D_yv": (n_y, n_v), "D_yu": (n_y, n_u),
-        }
-        kw = {name: _parse_matrix(raw[name], r, c, f"subsystem {k + 1}.{name}")
-              for name, (r, c) in fields.items()}
+        dims = {"x": n_x, "v": len(b_xv[0]),
+                "u": len(raw["B_xu"][0]) if raw["B_xu"] else 0,
+                "z": len(raw["C_zx"]), "y": len(raw["C_yx"])}
+        kw = {name: _parse_matrix(raw[name], dims[r], dims[c],
+                                  f"subsystem {k + 1}.{name}")
+              for name, (r, c) in SUB_SHAPES.items()}
         subs.append(SubsystemRealization(**kw))
 
     nds = NdsDefinition(subsystems=tuple(subs), time_domain=time_domain)

@@ -462,7 +462,7 @@ class _GridMat:
     """Shared shape/indexing machinery for PolyMat and RatFunMat."""
 
     __slots__ = ("rows", "cols", "entries")
-    _zero = None
+    _zero = _one = None
 
     def __init__(self, rows, cols, entries):
         if len(entries) != rows or any(len(r) != cols for r in entries):
@@ -474,6 +474,25 @@ class _GridMat:
     @property
     def shape(self):
         return (self.rows, self.cols)
+
+    @classmethod
+    def identity(cls, n):
+        return cls(n, n, [[cls._one if i == j else cls._zero
+                           for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def zeros(cls, rows, cols):
+        return cls(rows, cols, [[cls._zero] * cols for _ in range(rows)])
+
+    @classmethod
+    def from_scalars(cls, rows):
+        """Constant matrix; the constructor makes each rational an entry."""
+        rows = [list(r) for r in rows]
+        return cls(len(rows), len(rows[0]) if rows else 0,
+                   [[_coerce_rat(x) for x in r] for r in rows])
+
+    def eval(self, x):
+        return [[e(x) for e in row] for row in self.entries]
 
     def __getitem__(self, ij):
         i, j = ij
@@ -582,26 +601,11 @@ class _GridMat:
 class PolyMat(_GridMat):
     """Matrix of polynomials."""
 
-    _zero = P_ZERO
+    _zero, _one = P_ZERO, P_ONE
 
     def __init__(self, rows, cols, entries):
         entries = [[_as_poly(x) for x in row] for row in entries]
         super().__init__(rows, cols, entries)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [[P_ONE if i == j else P_ZERO for j in range(n)]
-                          for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols, [[P_ZERO] * cols for _ in range(rows)])
-
-    @classmethod
-    def from_scalars(cls, rows):
-        rows = [list(r) for r in rows]
-        return cls(len(rows), len(rows[0]) if rows else 0,
-                   [[Poly.const(_coerce_rat(x)) for x in r] for r in rows])
 
     @classmethod
     def diag(cls, polys, rows=None, cols=None):
@@ -627,9 +631,6 @@ class PolyMat(_GridMat):
     def to_ratfun(self):
         return RatFunMat(self.rows, self.cols,
                          [[RatFun(x) for x in row] for row in self.entries])
-
-    def eval(self, x):
-        return [[e(x) for e in row] for row in self.entries]
 
     def det(self) -> Poly:
         """The last forward pivot over Q[s] (module docstring)."""
@@ -665,30 +666,11 @@ class PolyMat(_GridMat):
 class RatFunMat(_GridMat):
     """Matrix of reduced rational functions."""
 
-    _zero = RF_ZERO
+    _zero, _one = RF_ZERO, RF_ONE
 
     def __init__(self, rows, cols, entries):
         entries = [[_as_ratfun(x) for x in row] for row in entries]
         super().__init__(rows, cols, entries)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [[RF_ONE if i == j else RF_ZERO for j in range(n)]
-                          for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols, [[RF_ZERO] * cols for _ in range(rows)])
-
-    @classmethod
-    def from_scalars(cls, rows):
-        rows = [list(r) for r in rows]
-        return cls(len(rows), len(rows[0]) if rows else 0,
-                   [[RatFun(Poly.const(_coerce_rat(x))) for x in r]
-                    for r in rows])
-
-    def eval(self, x):
-        return [[e(x) for e in row] for row in self.entries]
 
     def denominator_lcm(self) -> Poly:
         d = P_ONE

@@ -197,37 +197,44 @@ def rref(m, cols=None):
     return a, pivots
 
 
-def _full_rank_mod_p(a, ncols):
-    """True when the int rows ``a`` have rank min(rows, cols) mod ``_P``,
-    which proves that rank over Q (module docstring)."""
-    rows = [[x % _P for x in row] for row in a]
-    nrows = len(rows)
+def _eliminate_mod_p(a, ncols, jordan):
+    """The int rows ``a`` reduced modulo ``_P`` over their first ``ncols``
+    columns, or None when their rank mod ``_P`` is below min(rows, ncols).
+
+    Each pivot row is scaled to pivot 1.  Forward-only, it stops as soon
+    as that rank is reached or out of reach, which is the full-rank
+    certificate of ``rank`` (module docstring).  ``jordan`` clears above
+    the pivots too: on a square system with its right-hand sides
+    appended, the reduced rows end with the solution mod ``_P``.
+    """
+    red = [[x % _P for x in row] for row in a]
+    nrows = len(red)
     need = min(nrows, ncols)
     r = 0
     for c in range(ncols):
         if r == need:
             break
-        p = next((i for i in range(r, nrows) if rows[i][c]), None)
+        p = next((i for i in range(r, nrows) if red[i][c]), None)
         if p is None:
             if ncols - c - 1 < need - r:
-                return False
+                return None
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        top = rows[r]
-        inv = pow(top[c], -1, _P)
-        for i in range(r + 1, nrows):
-            f = rows[i][c] * inv % _P
-            if f:
-                rows[i] = [(x - f * y) % _P for x, y in zip(rows[i], top)]
+        red[r], red[p] = red[p], red[r]
+        inv = pow(red[r][c], -1, _P)
+        top = red[r] = [x * inv % _P for x in red[r]]
+        for i in range(0 if jordan else r + 1, nrows):
+            f = red[i][c]
+            if i != r and f:
+                red[i] = [(x - f * y) % _P for x, y in zip(red[i], top)]
         r += 1
-    return r == need
+    return red if r == need else None
 
 
 def rank(m, cols=None):
     ncols = len(m[0]) if m else (cols or 0)
     a, scales = _cleared(m)
     exact = scales is not None
-    if exact and _full_rank_mod_p(a, ncols):
+    if exact and _eliminate_mod_p(a, ncols, jordan=False) is not None:
         return min(len(a), ncols)
     div = floordiv if exact else truediv
     return len(_eliminate(a, ncols, div, jordan=False)[0])
@@ -320,18 +327,9 @@ def solve_certified(a, b):
     rows, scales = _cleared([list(ra) + list(rb) for ra, rb in zip(a, b)])
     if scales is None:
         return solve(a, b)
-    red = [[x % _P for x in row] for row in rows]
-    for c in range(n):
-        p = next((i for i in range(c, n) if red[i][c]), None)
-        if p is None:
-            return solve(a, b)
-        red[c], red[p] = red[p], red[c]
-        inv_piv = pow(red[c][c], -1, _P)
-        top = red[c] = [x * inv_piv % _P for x in red[c]]
-        for i in range(n):
-            f = red[i][c]
-            if i != c and f:
-                red[i] = [(x - f * y) % _P for x, y in zip(red[i], top)]
+    red = _eliminate_mod_p(rows, n, jordan=True)
+    if red is None:
+        return solve(a, b)
     x = [[_lift(u) for u in row[n:]] for row in red]
     if any(v is None for row in x for v in row) or \
             matmul(a, x, inner=n) != thaw(b):

@@ -43,6 +43,12 @@ class Inconsistent(InputError, ArithmeticError):
     """The candidate model cannot be realized by any SCM."""
 
 
+# (row dim, column dim) of the lumped A, B, C and D, by the port letters
+# of ``model.SUB_SHAPES``
+LUMPED_SHAPES = {"A": ("x", "x"), "B": ("x", "u"), "C": ("y", "x"),
+                 "D": ("y", "u")}
+
+
 @dataclass(frozen=True)
 class LumpedModel:
     """Whole-NDS descriptor model E dx = A x + B u, y = C x + D u."""
@@ -195,9 +201,8 @@ def check_reconstructible(nds: NdsDefinition) -> ReconReport:
 
 def _model_deviation(nds: NdsDefinition, model: LumpedModel, ports):
     """E_d = [A B; C D] - base, after a shape check of every row."""
-    m_x, m_u, m_y = nds.m_x, nds.m_u, nds.m_y
-    for name, rows, cols in (("A", m_x, m_x), ("B", m_x, m_u),
-                             ("C", m_y, m_x), ("D", m_y, m_u)):
+    for name, (r, c) in LUMPED_SHAPES.items():
+        rows, cols = nds.total(r), nds.total(c)
         m = getattr(model, name + "_hat")
         if len(m) != rows or any(len(row) != cols for row in m):
             raise ShapeError(

@@ -31,17 +31,23 @@ uint64 arrays.  The output is bit-identical to stepping each stream one
 sample at a time, and ``prbs(seed, m, c)`` is the first m rows of
 ``prbs(seed, m', c)`` for every m' >= m.
 
-Skip rules.  ``screen(nds, phi)`` holds the study engine's rules and
-stops at the first that fails, in this order: ``irregular`` (lifted
-pencil, ``check_nds_regular``), ``not_well_posed`` (I - Phi D_zv is
-singular), ``singular_e`` (the lumped E is singular) and ``unstable``
-(``stability_margins`` of E^-1 A).  If all pass it returns the lumped
-model as doubles, the ``FloatRealization`` (E^-1 A, E^-1 B, C, D) that
-``simulate`` takes, and the margins; else the rule's name, with the
-margins only for ``unstable``.  ``tau_sweep`` records the name as a
-skipped row's reason and adds ``too_many_samples`` (past ``MAX_SAMPLES``;
-the row keeps its margins); callers that cannot skip, ``distance_freq``
-and the CLI, raise the rule's typed error by ``Screening.require``.
+Skip rules.  ``screen(nds, phi)`` is the one place that turns an SCM
+into the study engine's facts.  It first checks the SCM's shape and the
+regularity of every subsystem (an irregular subsystem raises
+``NotRegular``), then computes the exact external transfer matrix once,
+by ``descriptor_tfm`` on the lifted realization.  Its rules stop at the
+first that fails, in this order: ``irregular`` (that call finds the
+lifted pencil singular), ``not_well_posed`` (I - Phi D_zv is singular),
+``singular_e`` (the lumped E is singular) and ``unstable``
+(``stability_margins`` of E^-1 A).  If all pass it returns the exact
+transfer matrix, the lumped model as doubles, the ``FloatRealization``
+(E^-1 A, E^-1 B, C, D) that ``simulate`` takes, and the margins, whose
+spectral radii ``choose_sampling`` reads; else the rule's name, with the
+margins only for ``unstable`` and no transfer matrix.  ``tau_sweep``
+records the name as a skipped row's reason and adds ``too_many_samples``
+(past ``MAX_SAMPLES``; the row keeps its margins); callers that cannot
+skip, ``distance_freq`` and the CLI, raise the rule's typed error by
+``Screening.require``.
 """
 
 from __future__ import annotations
@@ -56,8 +62,8 @@ import scipy.linalg
 from . import ratmat
 from .identifiability import UndiffRegion, check_identifiable_at, undiff_region
 from .model import (
-    NdsDefinition, NotRegular, NotWellPosed, SCMatrix, check_nds_regular,
-    check_well_posed, nds_tfm,
+    NdsDefinition, NotRegular, NotWellPosed, SCMatrix, _check_subsystems,
+    check_well_posed, descriptor_tfm, lifted_realization, nds_tfm,
 )
 from .polymat import InputError, RatFunMat, ShapeError
 from .reconstruction import lump
@@ -218,19 +224,15 @@ def is_stable(a, domain: str = "continuous") -> bool:
     return stability_margins(a, domain).stable
 
 
-def choose_sampling(a1, a2):
-    """Sampling period and count from the pair of state transition matrices.
+def choose_sampling(m1: StabilityMargins, m2: StabilityMargins):
+    """Sampling period and count from the margins of a pair of systems.
 
     T = 0.1 / max rho_max and M = max(1e4, floor(100 x rho_max / rho_min)),
     with the extrema taken over both systems.  Raises TooManySamples when
     M would exceed MAX_SAMPLES, before anything is allocated.
     """
-    m1 = np.abs(eig(a1))
-    m2 = np.abs(eig(a2))
-    if not len(m1) or not len(m2):
-        raise ZeroSpectrum("empty spectrum")
-    rho_max = max(m1.max(), m2.max())
-    rho_min = min(m1.min(), m2.min())
+    rho_max = max(m1.rho_max, m2.rho_max)
+    rho_min = min(m1.rho_min, m2.rho_min)
     if rho_max == 0.0 or rho_min == 0.0:
         raise ZeroSpectrum("zero eigenvalue magnitude breaks the sampling rule")
     t = 0.1 / rho_max
@@ -340,19 +342,24 @@ class Screening:
     reason: str | None = None
     realization: FloatRealization | None = None
     margins: StabilityMargins | None = None
+    tfm: RatFunMat | None = None
 
-    def require(self, what: str) -> FloatRealization:
-        """The realization, or the typed error of the failed rule."""
+    def require(self, what: str) -> Screening:
+        """This screening, or the typed error of the failed rule."""
         if self.reason is not None:
             error = {"irregular": NotRegular, "not_well_posed": NotWellPosed,
                      "singular_e": SingularE, "unstable": Unstable}
             raise error[self.reason](f"{what}: {self.reason}")
-        return self.realization
+        return self
 
 
 def screen(nds: NdsDefinition, phi: SCMatrix) -> Screening:
     """Skip rules of the study engine, in order (module docstring)."""
-    if not check_nds_regular(nds, phi):
+    phi.check_shape(nds)
+    _check_subsystems(nds)
+    try:
+        tfm = descriptor_tfm(*lifted_realization(nds, phi))
+    except NotRegular:
         return Screening("irregular")
     if not check_well_posed(nds, phi):
         return Screening("not_well_posed")
@@ -363,7 +370,7 @@ def screen(nds: NdsDefinition, phi: SCMatrix) -> Screening:
     margins = stability_margins(real.a, nds.time_domain)
     if not margins.stable:
         return Screening("unstable", margins=margins)
-    return Screening(realization=real, margins=margins)
+    return Screening(realization=real, margins=margins, tfm=tfm)
 
 
 def zoh_discretize(a: np.ndarray, b: np.ndarray, t: float):
@@ -504,10 +511,9 @@ def distance_freq(nds: NdsDefinition, phi1: SCMatrix, phi2: SCMatrix,
     supremum is located on a logarithmic grid and sharpened by
     golden-section refinement around the best point.
     """
-    for phi in (phi1, phi2):
-        screen(nds, phi).require("the NDS at one of the SCMs")
-    diff = exact_tfm(nds, phi1) - exact_tfm(nds, phi2)
-    return hinf_norm(diff, nds.time_domain, grid)
+    h1, h2 = (screen(nds, phi).require("the NDS at one of the SCMs").tfm
+              for phi in (phi1, phi2))
+    return hinf_norm(h1 - h2, nds.time_domain, grid)
 
 
 def hinf_norm(diff: RatFunMat, domain: str = "continuous",
@@ -598,7 +604,9 @@ def tau_sweep(nds: NdsDefinition, phi0: SCMatrix, phi_tilde: SCMatrix,
     so a row does not depend on the other points of the grid.  ``config``
     is the older way to pass the seed: its seed and amplitude are used and
     its T and M are ignored; passing both ``config`` and ``seed`` is a
-    TypeError.  The reference is screened, lumped and transferred once.
+    TypeError.  Every SCM, the reference included, is screened once, and
+    its screening supplies the realization, the margins and the exact
+    transfer matrix of its row.
     """
     if config is not None and seed is not None:
         raise TypeError("pass the seed either in config or as seed=")
@@ -613,7 +621,6 @@ def tau_sweep(nds: NdsDefinition, phi0: SCMatrix, phi_tilde: SCMatrix,
             else UndiffRegion(phi0=phi0,
                               basis=[[] for _ in range(phi0.rows)])
     ref = screen(nds, phi0).require("the reference system of the sweep")
-    h0 = exact_tfm(nds, phi0)
     delta = ratmat.sub(phi_tilde.as_lists(), phi0.as_lists())
     stream = None      # the longest PRBS drawn so far; rows use prefixes
     rows = []
@@ -628,7 +635,7 @@ def tau_sweep(nds: NdsDefinition, phi0: SCMatrix, phi_tilde: SCMatrix,
                                  margins=screened.margins))
             continue
         try:
-            t, m = choose_sampling(ref.a, screened.realization.a)
+            t, m = choose_sampling(ref.margins, screened.margins)
         except TooManySamples:
             rows.append(SweepRow(tau=tau, skipped=True,
                                  reason="too_many_samples",
@@ -638,10 +645,10 @@ def tau_sweep(nds: NdsDefinition, phi0: SCMatrix, phi_tilde: SCMatrix,
             stream = prbs(seed, m, nds.m_u, amplitude)
         u = stream[:m]
         cfg = SimConfig(T=t, M=m, seed=seed, amplitude=amplitude)
-        diff = exact_tfm(nds, phi_tau) - h0
+        diff = screened.tfm - ref.tfm
         rows.append(SweepRow(
             tau=tau, skipped=False,
-            d_T=distance_time(simulate(ref, u, cfg),
+            d_T=distance_time(simulate(ref.realization, u, cfg),
                               simulate(screened.realization, u, cfg)),
             d_F=hinf_norm(diff, nds.time_domain),
             d_S=distance_scm(phi_tau, region),

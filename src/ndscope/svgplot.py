@@ -8,8 +8,6 @@ singular-value plots.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
@@ -77,14 +75,10 @@ def line_plot(path, series, *, title="", xlabel="", ylabel="",
     ys = [p[1] for p in allpts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
-    if xlog:
-        x_lo, x_hi = x_lo, x_hi
-    else:
+    if not xlog:
         pad = 0.05 * ((x_hi - x_lo) or 1.0)
         x_lo, x_hi = x_lo - pad, x_hi + pad
-    if ylog:
-        y_lo, y_hi = y_lo, y_hi
-    else:
+    if not ylog:
         pad = 0.05 * ((y_hi - y_lo) or 1.0)
         y_lo, y_hi = y_lo - pad, y_hi + pad
     if xlog and x_lo == x_hi:
@@ -153,17 +147,6 @@ def line_plot(path, series, *, title="", xlabel="", ylabel="",
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="11" fill="{color}">{label}</text>')
     parts.append("</svg>")
-    svg = "\n".join(parts) + "\n"
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".svg-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
-        os.chmod(tmp, 0o644)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
+    # imported here: cli imports this module
+    from .cli import atomic_write
+    return atomic_write(path, "\n".join(parts) + "\n")

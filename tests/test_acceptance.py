@@ -44,7 +44,8 @@ from ndscope.reconstruction import (
 )
 from ndscope.sim import (
     SimConfig, SingularE, choose_sampling, distance_freq, hinf_norm,
-    is_stable, prbs, relative_error, simulate, stm, tau_sweep,
+    is_stable, prbs, relative_error, simulate, stability_margins, stm,
+    tau_sweep,
 )
 
 
@@ -121,7 +122,7 @@ def test_criterion_6_simulation_discrimination():
 
     def pair_error(phi_other):
         a1 = stm(nds, phi_other)
-        t, m = choose_sampling(a0, a1)
+        t, m = choose_sampling(stability_margins(a0), stability_margins(a1))
         u = prbs(seed, m, nds.m_u, 10.0)
         cfg = SimConfig(T=t, M=m, seed=seed)
         tr0 = simulate(realization(nds, PHI0), u, cfg)

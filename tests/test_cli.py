@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -346,6 +347,19 @@ class TestReconstructAndLump:
             ["reconstruct", model_path, "--lumped", str(lpath)], schema)
         assert doc["result"]["scm"] == [["0", "0"]] * 4
 
+    @pytest.mark.parametrize("key", ["A", "B", "C", "D"])
+    def test_wrong_shape_names_the_matrix(self, model_path, tmp_path,
+                                          schema, key):
+        lumped = {"A": [["0"] * 4] * 4, "B": [["0"] * 2] * 4,
+                  "C": [["0"] * 4] * 2, "D": [["0"] * 2] * 2}
+        lumped[key] = lumped[key] + [lumped[key][0]]
+        lpath = tmp_path / "shape.json"
+        lpath.write_text(json.dumps(lumped))
+        code, doc = run_json(
+            ["reconstruct", model_path, "--lumped", str(lpath)], schema)
+        assert code == 2
+        assert doc["error"].startswith(f"DimensionError: lumped {key} has")
+
     def test_inconsistent_file(self, model_path, tmp_path, schema):
         lumped = {
             "A": [["-2", "-1", "0", "0"], ["4", "-7", "0", "0"],
@@ -577,6 +591,63 @@ class TestSweepCmd:
         assert csv[0] == csv[1]
         assert len(csv[0].splitlines()) == 1 + 4 * 21
 
+    @pytest.mark.parametrize("cpus,want", [(64, 3), (2, 2)])
+    def test_pool_capped_at_tasks_and_cpus(self, model_path, tmp_path,
+                                           schema, monkeypatch, cpus, want):
+        import concurrent.futures
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size and runs the tasks in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(json.dumps([[["0", "0"], ["0", "0"], ["2", "0"],
+                                     ["0", "0"]]]))
+        written = []
+        for jobs in ("1", "64"):
+            out = tmp_path / f"jobs{jobs}"
+            code, _ = run_json(
+                ["sweep", model_path, "--scm0", PHI0_INLINE,
+                 "--directions", str(dirs), "--tau", "0:1:2",
+                 "--jobs", jobs, "--out-dir", str(out)], schema)
+            assert code == 0
+            written.append((out / "sweep.csv").read_bytes())
+        # --jobs 1 starts no pool; 3 grid points are 3 tasks
+        assert sizes == [want]
+        assert written[0] == written[1]
+
+    def test_oversized_tau_grid_exit_2(self, model_path, tmp_path, schema):
+        # 2e10 points: refused from the point count, before any is built
+        code, doc = run_json(
+            ["sweep", model_path, "--scm0", PHI0_INLINE,
+             "--directions", "paper", "--tau", "0:1/1000000000:20",
+             "--out-dir", str(tmp_path)], schema)
+        assert code == 2
+        assert doc["error"].startswith("SchemaError")
+
+    def test_tau_grid_limit_is_inclusive(self, monkeypatch):
+        import ndscope.cli as cli
+        from ndscope.model import SchemaError
+        monkeypatch.setattr(cli, "MAX_TAU_POINTS", 5)
+        assert len(cli._parse_tau_grid("0:1:4")) == 5
+        with pytest.raises(SchemaError, match="6 points"):
+            cli._parse_tau_grid("0:1:5")
+
     def test_skip_reason_column(self, model_path, tmp_path, schema):
         # tau = 1.095 on direction 1 is stable but needs about 3.2e6 samples
         out = str(tmp_path / "sweepmax")
@@ -641,68 +712,99 @@ class TestReproduceCmd:
 
 
 class TestOneScreening:
+    """Each screened SCM gets one lifted realization, whose one
+    nonsingular-point search decides regularity and yields the exact TFM,
+    one lump and one eig; no caller transfers it again."""
+
     def test_each_scm_lumped_and_transferred_once(self, model_path,
                                                    tmp_path, monkeypatch):
         from fractions import Fraction
         import ndscope.cli as cli
+        import ndscope.identifiability as identifiability
+        import ndscope.model as model
+        import ndscope.reconstruction as reconstruction
         import ndscope.sim as sim
         from ndscope.fixtures import PHI0, PHI_DIFF, SWEEP_DIRECTIONS, demo_nds
 
-        calls = {"lump": [], "tfm": [], "regular": [], "well_posed": []}
+        lifted_size = demo_nds().m_x + demo_nds().m_z
+        calls = {k: [] for k in ("lifted", "points", "eig", "lump",
+                                 "well_posed", "regular", "tfm")}
 
-        def counted(name, fn):
-            def wrapper(nds, phi):
-                calls[name].append(phi)
-                return fn(nds, phi)
+        def counted(name, fn, keep=None):
+            def wrapper(*args):
+                if keep is None or keep(*args):
+                    calls[name].append(args)
+                return fn(*args)
             return wrapper
-        monkeypatch.setattr(sim, "_lumped_float",
-                            counted("lump", sim._lumped_float))
-        monkeypatch.setattr(sim, "check_nds_regular",
-                            counted("regular", sim.check_nds_regular))
+        for mod, attr, name, keep in (
+                (sim, "lifted_realization", "lifted", None),
+                # the lifted pencil's searches, not the subsystems'
+                (model, "_nonsingular_points", "points",
+                 lambda e, a, count=None: len(e) == lifted_size),
+                (sim, "eig", "eig", None),
+                (sim, "_lumped_float", "lump", None),
+                (model, "check_nds_regular", "regular", None),
+                (identifiability, "check_nds_regular", "regular", None),
+                (model, "nds_tfm", "tfm", None),
+                (sim, "nds_tfm", "tfm", None),
+                (sim, "exact_tfm", "tfm", None)):
+            monkeypatch.setattr(mod, attr, counted(name, getattr(mod, attr),
+                                                   keep))
         # counted wherever ndscope imports it: lump must not test
         # well-posedness again after the screen did
-        import ndscope.reconstruction as reconstruction
         well_posed = counted("well_posed", sim.check_well_posed)
         for mod in (sim, reconstruction):
             monkeypatch.setattr(mod, "check_well_posed", well_posed,
                                 raising=False)
-        tfm = counted("tfm", sim.exact_tfm)
-        for mod in (sim, cli):
-            monkeypatch.setattr(mod, "exact_tfm", tfm)
+
+        def per_screen():
+            return {k: len(v) for k, v in calls.items()}
 
         def reset():
             for v in calls.values():
                 v.clear()
 
-        # a sweep op: k kept rows cost k + 1 lumps and exact TFMs, the
-        # singular-value plot included
+        # a sweep with k kept rows screens k + 1 SCMs, the reference
+        # included; the singular-value plot reuses a row's TFM.  The
+        # region's check_identifiable_at tests Phi0's regularity once more
+        # on its own lifted pencil.
         dirs = tmp_path / "dirs.json"
         dirs.write_text(json.dumps(
             [[[str(x) for x in row] for row in SWEEP_DIRECTIONS[0].entries]]))
+        out = tmp_path / "sweep"
         code, _, _ = run_cli(["sweep", model_path, "--scm0", PHI0_INLINE,
                               "--directions", str(dirs), "--tau", "0:1:2",
-                              "--out-dir", str(tmp_path / "sweep")])
+                              "--out-dir", str(out)])
         assert code == 0
-        assert (len(calls["lump"]), len(calls["tfm"])) == (4, 4)
-        assert len(calls["well_posed"]) == 4
+        with open(out / "sweep.csv", encoding="utf-8") as fh:
+            k = sum(row["skipped"] == "0" for row in csv.DictReader(fh))
+        assert k == 3
+        assert per_screen() == {"lifted": k + 1, "points": k + 2,
+                                "eig": k + 1, "lump": k + 1,
+                                "well_posed": k + 1, "regular": 1, "tfm": 0}
 
-        # simulate lumps each SCM once
+        # simulate screens each SCM once, in order, and its d_F reads
+        # the screenings' TFMs
         reset()
         code, _, _ = run_cli(["simulate", model_path, "--scm-a", PHI0_INLINE,
                               "--scm-b", PHI_DIFF_INLINE,
                               "--out-dir", str(tmp_path / "sim")])
         assert code == 0
-        assert [p.entries for p in calls["lump"]] == \
+        assert [args[1].entries for args in calls["lifted"]] == \
             [PHI0.entries, PHI_DIFF.entries]
-        assert len(calls["well_posed"]) == 2
+        assert per_screen() == {"lifted": 2, "points": 2, "eig": 2,
+                                "lump": 2, "well_posed": 2, "regular": 0,
+                                "tfm": 0}
 
-        # the spot scan: one regularity test, lump and exact TFM per tau
-        # (tau = 1.1 is skipped as unstable), H(Phi0) once
+        # the spot scan screens the 201 grid points and the graze point
+        # once each; H(Phi0) is the tau = 0 point's TFM (tau = 1.1 is
+        # skipped as unstable after its lump)
         reset()
-        phi0 = SCMatrix(PHI0.entries)
-        spot = cli._spot_value_scan(demo_nds(), phi0, SWEEP_DIRECTIONS[0])
+        spot = cli._spot_value_scan(demo_nds(), SCMatrix(PHI0.entries),
+                                    SWEEP_DIRECTIONS[0])
         assert spot["argmax_tau"] == str(Fraction(6, 5))
-        assert (len(calls["regular"]), len(calls["lump"])) == (201, 201)
-        assert len(calls["well_posed"]) == 201
-        assert sum(p is phi0 for p in calls["tfm"]) == 1
-        assert len(calls["tfm"]) == 200 + 2     # kept rows, H(Phi0), graze
+        phis = [args[1].entries for args in calls["lifted"]]
+        assert len(set(phis)) == len(phis) == 202
+        assert per_screen() == {"lifted": 202, "points": 202, "eig": 202,
+                                "lump": 202, "well_posed": 202,
+                                "regular": 0, "tfm": 0}

@@ -104,6 +104,32 @@ class TestSubsystem:
             subsystem_tfms(sub)
 
 
+SUB_KEYS = ("E", "A_xx", "B_xv", "B_xu", "C_zx", "C_yx", "D_zv", "D_zu",
+            "D_yv", "D_yu")
+
+
+class TestShapeTable:
+    """A ragged last row of any subsystem matrix is named in the error,
+    by the constructor and by the model file parser alike."""
+
+    @pytest.mark.parametrize("name", SUB_KEYS)
+    def test_constructor_names_the_matrix(self, name):
+        sub = demo_nds().subsystems[0]
+        m = getattr(sub, name)
+        bad = m[:-1] + (m[-1] + (F(0),),)
+        with pytest.raises(DimensionError, match=f"^{name} must be "):
+            SubsystemRealization(**{**sub.__dict__, name: bad})
+
+    @pytest.mark.parametrize("name", SUB_KEYS)
+    def test_parser_names_the_matrix(self, name):
+        # a copy: the two demo subsystems share one dict
+        doc = json.loads(json.dumps(demo_model_json()))
+        doc["subsystems"][1][name][-1].append("0")
+        with pytest.raises(DimensionError,
+                           match=rf"^subsystem 2\.{name} row has"):
+            parse_model(json.dumps(doc))
+
+
 class TestFixtureTfms:
     def test_g_zu(self):
         t = subsystem_tfms(demo_nds().subsystems[0])

@@ -144,6 +144,23 @@ class TestIntegerKernels:
             assert unimodular_inverse(u) == want
 
 
+class TestGridMatConstructors:
+    @pytest.mark.parametrize("cls,kind", [(PolyMat, Poly),
+                                          (RatFunMat, RatFun)])
+    def test_entries_keep_their_type(self, cls, kind):
+        def entry(*coeffs):
+            return RatFun(P(*coeffs)) if kind is RatFun else P(*coeffs)
+        one, zero = entry(1), entry()
+        for m, want in ((cls.identity(2), [[one, zero], [zero, one]]),
+                        (cls.zeros(1, 2), [[zero, zero]]),
+                        (cls.from_scalars([[1, "1/2"]]),
+                         [[one, entry(F(1, 2))]])):
+            assert all(type(e) is kind for row in m.entries for e in row)
+            assert m.entries == want
+        assert cls.from_scalars([]).shape == (0, 0)
+        assert cls.from_scalars([[2, 3]]).eval(F(5)) == [[F(2), F(3)]]
+
+
 class TestPolyMatDet:
     def test_broken_invariant_is_typed(self, monkeypatch):
         # every division of the elimination over Q[s] is exact; if one

@@ -165,7 +165,7 @@ class TestConsistency:
         rows = list(getattr(model, name))
         rows[row] = change(rows[row])
         bad = LumpedModel(**{**model.__dict__, name: tuple(rows)})
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=f"lumped {name[0]} must be"):
             check_consistency(nds, bad)
 
     def test_not_reconstructible_rejected(self):

@@ -9,7 +9,9 @@ import ndscope.ratmat as rm
 import ndscope.sim
 from helpers import loop_simulate, rand_mat, realization, xorshift_prbs
 from ndscope.fixtures import PHI0, PHI_DIFF, PHI_EQUIV, SWEEP_DIRECTIONS, demo_nds
-from ndscope.model import NdsDefinition, SCMatrix, SubsystemRealization
+from ndscope.model import (
+    NdsDefinition, NotRegular, SCMatrix, SubsystemRealization,
+)
 from ndscope.polymat import Poly, RatFun, RatFunMat, ShapeError
 from ndscope.sim import (
     MAX_SAMPLES, SimConfig, SingularE, TooManySamples, Trajectory, Unstable,
@@ -94,8 +96,8 @@ class TestStm:
         # E does not depend on Phi, so a sweep refuses its reference
         # before any row could be skipped as singular_e
         got = screen(nds, SCMatrix.zero(1, 1))
-        assert (got.reason, got.realization, got.margins) == \
-            ("singular_e", None, None)
+        assert (got.reason, got.realization, got.margins, got.tfm) == \
+            ("singular_e", None, None, None)
         with pytest.raises(SingularE):
             tau_sweep(nds, SCMatrix.zero(1, 1), SCMatrix.zero(1, 1), [F(0)],
                       region=UndiffRegion(phi0=SCMatrix.zero(1, 1),
@@ -130,37 +132,50 @@ class TestMargins:
         assert m.s_mr == pytest.approx(0.5)
 
 
+def sampling(a1, a2):
+    """``choose_sampling`` on the margins of two state transition matrices."""
+    return choose_sampling(stability_margins(a1), stability_margins(a2))
+
+
 class TestSampling:
     def test_equal_spectra(self):
         a = np.diag([-10.0, -10.0])
-        t, m = choose_sampling(a, a)
+        t, m = sampling(a, a)
         assert t == pytest.approx(0.01)
         assert m == 10_000
 
     def test_ratio_dominates(self):
         a1 = np.diag([-100.0, -0.5])
-        t, m = choose_sampling(a1, a1)
+        t, m = sampling(a1, a1)
         assert t == pytest.approx(0.001)
         assert m == 20_000
 
     def test_zero_spectrum(self):
         with pytest.raises(ZeroSpectrum):
-            choose_sampling(np.zeros((2, 2)), np.diag([-1.0]))
+            sampling(np.zeros((2, 2)), np.diag([-1.0]))
 
     def test_fixture_pair(self):
-        t, m = choose_sampling(stm(demo_nds(), PHI0),
-                               stm(demo_nds(), PHI_DIFF))
+        t, m = sampling(stm(demo_nds(), PHI0), stm(demo_nds(), PHI_DIFF))
         assert 0 < t < 1 and m >= 10_000
 
     def test_too_many_samples(self):
         # the rule would ask for 1e11 samples; nothing is allocated
         with pytest.raises(TooManySamples):
-            choose_sampling(np.diag([-1.0]), np.diag([-1e-9]))
+            sampling(np.diag([-1.0]), np.diag([-1e-9]))
 
     def test_near_limit_allowed(self):
         # M = 1e6, the size of the paper's near-graze point tau = 1.09
-        _, m = choose_sampling(np.diag([-1.0]), np.diag([-1e-4]))
+        _, m = sampling(np.diag([-1.0]), np.diag([-1e-4]))
         assert m == 1_000_000 < MAX_SAMPLES
+
+    def test_reads_margins_without_eig(self, monkeypatch):
+        margins = stability_margins(np.diag([-100.0, -0.5]))
+
+        def no_eig(a):
+            raise AssertionError("choose_sampling computed a spectrum")
+        monkeypatch.setattr(ndscope.sim, "eig", no_eig)
+        assert choose_sampling(margins, margins) == \
+            (pytest.approx(0.001), 20_000)
 
 
 class TestPrbs:
@@ -329,7 +344,7 @@ class TestBlockKernel:
 
     def test_demo_pair_matches_loop(self):
         nds = demo_nds()
-        t, m = choose_sampling(stm(nds, PHI0), stm(nds, PHI_DIFF))
+        t, m = sampling(stm(nds, PHI0), stm(nds, PHI_DIFF))
         cfg = SimConfig(T=t, M=m)
         u = prbs(0, m, nds.m_u)
         real = realization(nds, PHI_DIFF)
@@ -481,6 +496,60 @@ def _one_state(c_zx):
         C_zx=((F(c_zx),),), C_yx=one, D_zv=one, D_zu=zero,
         D_yv=zero, D_yu=zero)
     return NdsDefinition(subsystems=(sub,))
+
+
+class TestScreen:
+    def test_passing_screen_carries_the_exact_tfm(self):
+        nds = demo_nds()
+        got = screen(nds, PHI_DIFF)
+        assert got.reason is None
+        assert got.tfm == exact_tfm(nds, PHI_DIFF)
+        assert got.require("the SCM") is got
+
+    def test_irregular_nds_is_a_skip_without_tfm(self):
+        got = screen(_one_state(c_zx=0), SCMatrix(((F(1),),)))
+        assert (got.reason, got.realization, got.margins, got.tfm) == \
+            ("irregular", None, None, None)
+
+    def test_skips_carry_no_tfm(self):
+        # not well-posed, then unstable (tau = 1.1 on direction 1)
+        got = screen(_one_state(c_zx=1), SCMatrix(((F(1),),)))
+        assert (got.reason, got.tfm) == ("not_well_posed", None)
+        delta = rm.sub(SWEEP_DIRECTIONS[0].as_lists(), PHI0.as_lists())
+        phi = SCMatrix(rm.freeze(rm.add(PHI0.as_lists(),
+                                        rm.scale(delta, F(11, 10)))))
+        got = screen(demo_nds(), phi)
+        assert (got.reason, got.tfm) == ("unstable", None)
+        assert got.margins is not None
+
+    def test_irregular_subsystem_raises(self):
+        # det(s E - A_xx) = 0 for every s: the subsystem, not the
+        # interconnection, is at fault, so nothing can be skipped
+        one, zero = ((F(1),),), ((F(0),),)
+        sub = SubsystemRealization(
+            E=zero, A_xx=zero, B_xv=one, B_xu=one, C_zx=one, C_yx=one,
+            D_zv=zero, D_zu=zero, D_yv=zero, D_yu=zero)
+        nds = NdsDefinition(subsystems=(sub,))
+        phi = SCMatrix.zero(1, 1)
+        region = UndiffRegion(phi0=phi, basis=[[]])
+        with pytest.raises(NotRegular, match="subsystem 1"):
+            screen(nds, phi)
+        with pytest.raises(NotRegular, match="subsystem 1"):
+            tau_sweep(nds, phi, phi, [F(0)], region=region)
+        with pytest.raises(NotRegular, match="subsystem 1"):
+            distance_freq(nds, phi, phi)
+
+    def test_screen_runs_no_separate_regularity_pass(self, monkeypatch):
+        import ndscope.model as model
+
+        def forbidden(*args):
+            raise AssertionError("check_nds_regular ran")
+        for mod in (ndscope.sim, model):
+            monkeypatch.setattr(mod, "check_nds_regular", forbidden,
+                                raising=False)
+        assert screen(demo_nds(), PHI0).reason is None
+        assert screen(_one_state(c_zx=0),
+                      SCMatrix(((F(1),),))).reason == "irregular"
 
 
 class TestTauSweep:
