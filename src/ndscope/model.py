@@ -12,9 +12,12 @@ The interconnection is v = Phi z with Phi the subsystem connection
 matrix (SCM).  All matrices are exact rationals.  Every transfer matrix
 is C (sE - A)^-1 B + D of some descriptor realization (a subsystem, the
 lifted NDS or a lumped model) and comes from one exact route,
-``descriptor_tfm``: evaluation at rational points and interpolation
-under the degree bound deg <= rank E.  Regularity is decided by the same
-bounded point test (``pencil_is_regular``).
+``descriptor_tfm``: the rows of [E | A | B] are cleared to integers
+once, each integer point s = 0, 1, 2, ... costs one fraction-free
+integer elimination of [sE - A | B], and the integer samples are
+interpolated exactly under the degree bound deg <= rank E.  Regularity
+is decided by the same point search, forward only and without B
+(``pencil_is_regular``).
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import floordiv, mul
 
 from . import ratmat
 from .polymat import InputError, Poly, PolyMat, RatFun, RatFunMat, ShapeError
@@ -127,6 +132,15 @@ class SubsystemRealization:
             m = getattr(self, name)
             if len(m) != r or any(len(row) != c for row in m):
                 raise DimensionError(f"{name} must be {r}x{c}")
+
+    @cached_property
+    def _hash(self):
+        return hash(tuple(getattr(self, name) for name in SUB_SHAPES))
+
+    def __hash__(self):
+        # every per-distinct memo hashes subsystems, and hashing all their
+        # Fractions is costly: the hash is taken on first use and kept
+        return self._hash
 
     @property
     def n_x(self):
@@ -427,10 +441,34 @@ def parse_constraints(c, nds: NdsDefinition):
     raise SchemaError("unknown constraint kind")
 
 
-def _nonsingular_points(e, a, count=None):
-    """(s, sE - A, det(sE - A)) at the first ``count`` points s = 0, 1,
-    2, ... where the determinant is nonzero (default: rank E + 1 points),
-    or None when the pencil is singular.
+def _int_blocks(*blocks):
+    """The blocks of [M_1 | M_2 | ...], whose rows are cleared to ints
+    once by ``ratmat``'s row rule and then split back into int matrices
+    of the input widths, and the row scales."""
+    widths = [len(m[0]) if m else 0 for m in blocks]
+    rows, scales = ratmat._cleared(
+        [[x for m in blocks for x in m[i]] for i in range(len(blocks[0]))])
+    if scales is None:
+        raise TypeError("entries must be ints or Fractions")
+    out, c0 = [], 0
+    for w in widths:
+        out.append([row[c0:c0 + w] for row in rows])
+        c0 += w
+    return out, scales
+
+
+def _nonsingular_points(e, a, b=None):
+    """(s, det, adj B) at the first points s = 0, 1, 2, ... where
+    det(sE - A) is nonzero, or None when the pencil is singular.
+
+    ``e``, ``a`` and ``b`` are int rows (``_int_blocks``).  At each point
+    the int rows [sE - A | B] are eliminated once, fraction-free
+    (``ratmat._eliminate``): fewer than n pivots means det(sE - A) = 0.
+    Without ``b`` the elimination is forward only and the search stops at
+    the first nonsingular point (the regularity test; adj B is empty).
+    With ``b`` it is Gauss-Jordan and runs to rank E + 1 points: every
+    pivot then equals the last pivot d = sign det(sE - A), and the right
+    block is Y = d (sE - A)^-1 B (Cramer), so adj(sE - A) B = sign Y.
 
     Degree bound: with r = rank E, write E = U diag(I_r, 0) V for
     invertible constant U, V; only r entries of U^-1 (sE - A) V^-1 carry
@@ -440,13 +478,19 @@ def _nonsingular_points(e, a, count=None):
     evaluated.
     """
     r = ratmat.rank(e)
-    count = r + 1 if count is None else count
+    n = len(e)
+    count = 1 if b is None else r + 1
+    right = b if b is not None else [[] for _ in e]
     found, misses = [], 0
     for s in itertools.count():
-        p = ratmat.sub(ratmat.scale(e, s), a)
-        d = ratmat.det(p)
-        if d:
-            found.append((Fraction(s), p, d))
+        p = [[s * x - y for x, y in zip(re, ra)] + rb
+             for re, ra, rb in zip(e, a, right)]
+        pivots, sign = ratmat._eliminate(p, n, floordiv, jordan=b is not None)
+        if len(pivots) == n:
+            det = sign * p[-1][n - 1] if n else 1
+            adj_b = [row[n:] if sign > 0 else [-x for x in row[n:]]
+                     for row in p]
+            found.append((s, det, adj_b))
             if len(found) == count:
                 return found
         else:
@@ -457,7 +501,8 @@ def _nonsingular_points(e, a, count=None):
 
 def pencil_is_regular(e, a) -> bool:
     """True iff det(sE - A) is not the zero polynomial (bounded point test)."""
-    return _nonsingular_points(e, a, 1) is not None
+    (e, a), _ = _int_blocks(e, a)
+    return _nonsingular_points(e, a) is not None
 
 
 def descriptor_tfm(e, a, b, c, d) -> RatFunMat:
@@ -468,29 +513,38 @@ def descriptor_tfm(e, a, b, c, d) -> RatFunMat:
     of some s E' - A' with rank E' <= rank E, so N and det(sE - A) both
     have degree <= rank E (bound in ``_nonsingular_points``).  Their values
     at rank E + 1 points where the determinant is nonzero therefore
-    determine them by interpolation.  RatFun reduces N_ij / det to its
-    canonical form, so the result does not depend on the points chosen.
+    determine them by interpolation.
+
+    The samples are ints.  The rows of [E | A | B] are cleared once, which
+    scales det and N by the same constant, the product of the row scales.
+    The rows of [C | D] are cleared with scales g_i, so the sample of row
+    i is g_i times that of N, and row i takes g_i det as its denominator.
+    RatFun reduces N_ij / det to its canonical form, so the result depends
+    neither on the scales nor on the points chosen.
     """
-    pts = _nonsingular_points(e, a)
+    (e, a, b), _ = _int_blocks(e, a, b)
+    (c, d), gamma = _int_blocks(c, d)
+    pts = _nonsingular_points(e, a, b)
     if pts is None:
         raise NotRegular("pencil sE - A is singular for every s")
-    n = len(e)
     rows, cols = len(c), len(b[0])
     samples = []
-    for _, p, det in pts:
-        h = ratmat.add(ratmat.matmul(c, ratmat.solve(p, b), inner=n), d)
-        samples.append([det] + [det * x for row in h for x in row])
+    for _, det, adj_b in pts:
+        adj_cols = [[row[j] for row in adj_b] for j in range(cols)]
+        samples.append([det] + [sum(map(mul, c_row, col)) + det * x
+                                for c_row, d_row in zip(c, d)
+                                for col, x in zip(adj_cols, d_row)])
     vander = [[s ** k for k in range(len(pts))] for s, _, _ in pts]
     coeffs = ratmat.transpose(ratmat.solve(vander, samples))
     den = Poly(coeffs[0])
     return RatFunMat(rows, cols, [
-        [RatFun(Poly(coeffs[1 + i * cols + j]), den) for j in range(cols)]
-        for i in range(rows)])
+        [RatFun(Poly(coeffs[1 + i * cols + j]), den_i) for j in range(cols)]
+        for i, den_i in enumerate(den * g for g in gamma)])
 
 
 def check_subsystem_regular(sub: SubsystemRealization) -> bool:
     """True iff det(lambda E - A_xx) is not the zero polynomial."""
-    return pencil_is_regular(ratmat.thaw(sub.E), ratmat.thaw(sub.A_xx))
+    return pencil_is_regular(sub.E, sub.A_xx)
 
 
 def subsystem_tfms(sub: SubsystemRealization) -> SubsystemTfms:

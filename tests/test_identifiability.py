@@ -864,3 +864,50 @@ class TestA2Defect:
         rep = check_identifiable_at(nds, phi0)
         assert rep.case.kind == A2
         assert rep.verdict != IDENTIFIABLE
+        # the whole SCM space fails the oracle, the witness region
+        # Phi0 + [1; 23/19] gamma^T passes it: a verdict alone cannot pass
+        region = undiff_region(rep, phi0)
+        assert verify_region_by_tfm(nds, phi0, region, n_in=5, n_out=5,
+                                    seed=0)
+
+
+# The one-subsystem case-a3 reproducer of the ROADMAP defect list:
+# B_xv = 0 and D_yv = 0, so v never reaches y and H does not depend on Phi.
+A3_DEFECT = {
+    "time_domain": "continuous",
+    "subsystems": [{
+        "E": [["1", "0"], ["0", "1"]],
+        "A_xx": [["-5/4", "3/2"], ["5/4", "-2"]],
+        "B_xv": [["0", "0"], ["0", "0"]],
+        "B_xu": [["3/2", "-5/2"], ["7/4", "-3"]],
+        "C_zx": [["3/4", "-1"]], "C_yx": [["5/4", "-5/4"]],
+        "D_zv": [["-3/2", "5/2"]], "D_zu": [["3/4", "5/4"]],
+        "D_yv": [["0", "0"]], "D_yu": [["0", "2"]],
+    }],
+    "scm": [["1/3"], ["-1/2"]],
+}
+A3_DEFECT_TWIN = [["5"], ["7"]]
+
+
+class TestA3Defect:
+    def test_twin_shares_phi0_tfm(self):
+        nds, phi0, _ = parse_model(json.dumps(A3_DEFECT))
+        phi = SCMatrix.from_rows(A3_DEFECT_TWIN)
+        assert phi != phi0
+        assert check_nds_regular(nds, phi) and check_well_posed(nds, phi)
+        assert tfm_equal(nds_tfm(nds, phi), nds_tfm(nds, phi0))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="case a3 reports identifiable when its stacked matrix has "
+               "no rows, although every SCM gives Phi0's exact TFM (ROADMAP "
+               "direction 1: the empty stacked matrix)")
+    def test_verdict_is_not_identifiable(self):
+        nds, phi0, _ = parse_model(json.dumps(A3_DEFECT))
+        rep = check_identifiable_at(nds, phi0)
+        assert rep.case.kind == A3
+        assert rep.verdict != IDENTIFIABLE
+        # here the region is the whole SCM space, the set of A0 K = 0
+        region = undiff_region(rep, phi0)
+        assert verify_region_by_tfm(nds, phi0, region, n_in=5, n_out=5,
+                                    seed=0)

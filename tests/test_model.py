@@ -335,6 +335,89 @@ class TestDescriptorRoute:
             nds_tfm(nds, SCMatrix.from_rows([["1"]]))
 
 
+def _rand_descriptor(rng, n, rank_e, irregular):
+    """Seeded (E, A, B, C, D) with rank E = rank_e; some draws have huge
+    denominators, an all-zero B or D = 0.  ``irregular`` multiplies E and
+    A on the right by one singular matrix (which may lower rank E), so
+    det(sE - A) is identically zero."""
+    big = rng.random() < 0.3
+
+    def entry():
+        if rng.random() < 0.3:
+            return F(0)
+        den = rng.randint(1, 10 ** 15) if big else rng.choice([1, 2, 3, 7])
+        return F(rng.randint(-9, 9) * (den if big else 1) + rng.randint(-9, 9),
+                 den)
+
+    def mat(rows, cols):
+        return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+    def full_column_rank(rows, cols):
+        m = rm.identity(cols) + mat(rows - cols, cols)
+        rng.shuffle(m)
+        return m
+
+    m, p = rng.randint(1, 3), rng.randint(1, 3)
+    e = (rm.matmul(full_column_rank(n, rank_e),
+                   rm.transpose(full_column_rank(n, rank_e)))
+         if rank_e else rm.zeros(n, n))
+    a = mat(n, n)
+    if irregular:
+        k = mat(n, n)
+        k[rng.randrange(n)] = [F(0)] * n
+        e, a = rm.matmul(e, k), rm.matmul(a, k)
+    b = rm.zeros(n, m) if rng.random() < 0.2 else mat(n, m)
+    d = rm.zeros(p, m) if rng.random() < 0.3 else mat(p, m)
+    return e, a, b, mat(p, n), d
+
+
+class TestIntegerKernel:
+    """``descriptor_tfm`` and ``pencil_is_regular`` against Fraction
+    oracles from ``ratmat``: C (sE - A)^-1 B + D at non-integer points,
+    and det(sE - A) at 2 rank E + 1 points."""
+
+    def test_against_fraction_solve_and_det(self):
+        rng = random.Random(23)
+        seen, shapes, zero_b, zero_d = set(), set(), 0, 0
+        draws = [(n, rank_e, irregular) for n in range(1, 6)
+                 for rank_e in range(n + 1)
+                 for irregular in (False, False, False, True)]
+        for n, rank_e, irregular in draws:
+            e, a, b, c, d = _rand_descriptor(rng, n, rank_e, irregular)
+            r = rm.rank(e)
+            shapes.add((n, r))
+
+            def pencil(s):
+                return rm.sub(rm.scale(e, s), a)
+            points = [F(2 * k + 1, 3) for k in range(2 * r + 1)]
+            regular = any(rm.det(pencil(s)) for s in points)
+            seen.add((r, regular))
+            assert pencil_is_regular(e, a) == regular
+            if not regular:
+                with pytest.raises(NotRegular):
+                    descriptor_tfm(e, a, b, c, d)
+                continue
+            h = descriptor_tfm(e, a, b, c, d)
+            zero_b += rm.is_zero(b)
+            zero_d += rm.is_zero(d)
+            checked = 0
+            for s in (F(2 * k + 1, 5) for k in range(r + 3)):
+                p = pencil(s)
+                if not rm.det(p):
+                    continue
+                want = rm.add(rm.matmul(c, rm.solve(p, b), inner=n), d)
+                assert h.eval(s) == want
+                checked += 1
+                if checked == 3:
+                    break
+            assert checked == 3
+        # every rank of E from 0 to n for every n, irregular pencils, and
+        # regular ones with B = 0 or D = 0
+        assert shapes == {(n, r) for n in range(1, 6) for r in range(n + 1)}
+        assert {reg for _, reg in seen} == {True, False}
+        assert zero_b and zero_d
+
+
 class TestNdsTfm:
     def test_zero_scm_gives_g_yu(self):
         nds = demo_nds()
