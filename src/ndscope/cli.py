@@ -271,15 +271,12 @@ def cmd_lump(args) -> int:
     return 0
 
 
-def _simulate_pair(nds, phi_a, phi_b, seed):
-    """(T, M, u, trajectories, screenings) of two SCMs under one PRBS."""
-    screens = tuple(screen(nds, phi).require(f"system {name}")
-                    for name, phi in zip("ab", (phi_a, phi_b)))
+def _simulate_pair(nds, screens, seed):
+    """(T, M, u, trajectories) of two passing screenings under one PRBS."""
     t, m = choose_sampling(*(s.margins for s in screens))
     u = prbs(seed, m, nds.m_u)
     cfg = SimConfig(T=t, M=m, seed=seed)
-    return t, m, u, tuple(simulate(s.realization, u, cfg)
-                          for s in screens), screens
+    return t, m, u, tuple(simulate(s.realization, u, cfg) for s in screens)
 
 
 def cmd_simulate(args) -> int:
@@ -287,7 +284,9 @@ def cmd_simulate(args) -> int:
     phi_a = load_scm(args.scm_a, nds)
     phi_b = load_scm(args.scm_b, nds)
     seed = args.seed if args.seed is not None else default_seed()
-    t, m, u, (tr_a, tr_b), screens = _simulate_pair(nds, phi_a, phi_b, seed)
+    screens = tuple(screen(nds, phi).require(f"system {name}")
+                    for name, phi in zip("ab", (phi_a, phi_b)))
+    t, m, u, (tr_a, tr_b) = _simulate_pair(nds, screens, seed)
     err = relative_error(tr_a, tr_b)
     with np.errstate(invalid="ignore"):
         max_err = [float(np.nanmax(err[:, j])) if np.any(~np.isnan(err[:, j]))
@@ -353,8 +352,9 @@ def _sweep_one(packed):
 
 
 def _chunks(seq, n):
+    """At most n slices of seq, and one (empty) slice of an empty seq."""
     size = max(1, -(-len(seq) // n))
-    return [seq[i:i + size] for i in range(0, len(seq), size)]
+    return [seq[i:i + size] for i in range(0, max(len(seq), 1), size)]
 
 
 def _usable_cpus() -> int:
@@ -385,24 +385,36 @@ def cmd_sweep(args) -> int:
     region = undiff_region(rep, phi0) if rep.verdict == NOT_IDENTIFIABLE \
         else UndiffRegion(phi0=phi0, basis=[[] for _ in range(phi0.rows)])
     jobs = max(args.jobs, 1)
-    if jobs > 1:
-        # rows are seed-deterministic per tau, so any split is safe
-        per_dir = max(1, -(-jobs // len(directions)))
-        tasks = [(k, (nds, phi0, d, chunk, seed, region))
-                 for k, d in enumerate(directions)
-                 for chunk in _chunks(taus, per_dir)]
+    # rows are seed-deterministic per tau, so any split is safe
+    per_dir = max(1, -(-jobs // len(directions)))
+    tasks = [(k, (nds, phi0, d, chunk, seed, region))
+             for k, d in enumerate(directions)
+             for chunk in _chunks(taus, per_dir)]
+    # the pool starts every worker at once: no more than there are tasks
+    # or CPUs to run them
+    workers = min(jobs, len(tasks), _usable_cpus())
+    if workers > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        # the pool starts every worker at once: no more than there are
-        # tasks or CPUs to run them
-        workers = min(jobs, len(tasks), _usable_cpus())
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, [t for _, t in tasks]))
-        all_rows = [[] for _ in directions]
-        for (k, _), rows in zip(tasks, results):
-            all_rows[k].extend(rows)
+        # spawned workers load BLAS afresh with one thread each; forked
+        # ones would keep the parent's threads and oversubscribe the CPUs
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        saved = {k: os.environ[k] for k in blas if k in os.environ}
+        os.environ.update(dict.fromkeys(blas, "1"))
+        try:
+            with ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=multiprocessing.get_context("spawn")) as pool:
+                results = list(pool.map(_sweep_one, [t for _, t in tasks]))
+        finally:
+            for k in blas:
+                del os.environ[k]
+            os.environ.update(saved)
     else:
-        all_rows = [_sweep_one((nds, phi0, d, taus, seed, region))
-                    for d in directions]
+        results = [_sweep_one(t) for _, t in tasks]
+    all_rows = [[] for _ in directions]
+    for (k, _), rows in zip(tasks, results):
+        all_rows[k].extend(rows)
     out = args.out_dir or "."
     header = ["k", "tau", "d_T", "d_F", "d_S", "s_mr", "s_md", "skipped",
               "reason"]
@@ -489,18 +501,19 @@ def cmd_reproduce_paper(args) -> int:
     check("K FCR and L FRR per subsystem", recon.reconstructible,
           str(recon.per_subsystem))
 
-    h0 = nds_tfm(nds, phi0)
-    check("H(Phi0) = H(Phi_u) exactly", tfm_equal(h0, nds_tfm(nds, phi_u)))
-    check("H(Phi0) != H(Phi_i)", not tfm_equal(h0, nds_tfm(nds, phi_i)))
+    named = (("Phi0", phi0), ("Phi_u", phi_u), ("Phi_i", phi_i))
+    s0, s_u, s_i = (screen(nds, phi).require(name) for name, phi in named)
+    check("H(Phi0) = H(Phi_u) exactly", tfm_equal(s0.tfm, s_u.tfm))
+    check("H(Phi0) != H(Phi_i)", not tfm_equal(s0.tfm, s_i.tfm))
 
-    for name, phi in (("Phi0", phi0), ("Phi_u", phi_u), ("Phi_i", phi_i)):
+    for name, phi in named:
         got = recover_scm(nds, lump(nds, phi))
         check(f"round trip recovers {name}", got.entries == phi.entries)
 
-    def max_relative_error(phi):
-        _, _, _, trajectories, _ = _simulate_pair(nds, phi0, phi, seed)
+    def max_relative_error(other):
+        _, _, _, trajectories = _simulate_pair(nds, (s0, other), seed)
         return float(np.nanmax(relative_error(*trajectories)))
-    max_u, max_i = max_relative_error(phi_u), max_relative_error(phi_i)
+    max_u, max_i = max_relative_error(s_u), max_relative_error(s_i)
     check("max relative error (Phi0, Phi_u) <= 1e-6", max_u <= 1e-6,
           f"max={max_u:.3e}")
     check("max relative error (Phi0, Phi_i) >= 10", max_i >= 10.0,

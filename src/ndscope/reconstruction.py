@@ -20,6 +20,8 @@ and base is nonzero only on the R_i x C_i.  Hence:
 * E_d = K X L for some X iff K_i_perp E_d[R_i, :] = 0 for every i
   (cond_left) and E_d[:, C_j] L_j_perp = 0 for every j (cond_right),
   with K_i_perp a left and L_j_perp a right null basis.
+* Over Q, K_i^T K_i is singular iff K_i is not FCR, and L_j L_j^T iff
+  L_j is not FRR: the solves that form K_i^+ and L_j^+ decide that.
 """
 
 from __future__ import annotations
@@ -71,9 +73,7 @@ class ConsistencyReport:
     """The test of the module docstring.  H_m is X when E_d = K X L.
     With W = I + H_m D_zv, cond_hm is rank [W | H_m] = rank W and
     recovery_unique is rank W = m_v: one flag, since
-    [W | H_m] [[I, 0], [-D_zv, I]] = [I | H_m] has rank m_v.  The
-    residuals stack the K_i_perp E_d[R_i, :] and set the
-    E_d[:, C_j] L_j_perp side by side; no caller reads them."""
+    [W | H_m] [[I, 0], [-D_zv, I]] = [I | H_m] has rank m_v."""
 
     cond_left: bool
     cond_right: bool
@@ -81,8 +81,6 @@ class ConsistencyReport:
     H_m: list
     consistent: bool
     recovery_unique: bool
-    residual_left: list | None = None
-    residual_right: list | None = None
 
 
 def _ports(nds: NdsDefinition):
@@ -213,42 +211,45 @@ def _model_deviation(nds: NdsDefinition, model: LumpedModel, ports):
     return e_d
 
 
+def _gram_solve(m):
+    """(m m^T)^-1 m, or NotReconstructible when m m^T is singular."""
+    try:
+        return ratmat.solve(ratmat.matmul(m, ratmat.transpose(m)), m)
+    except ratmat.SingularMatrixError as exc:
+        raise NotReconstructible(
+            "K must be FCR and L must be FRR for the consistency test") \
+            from exc
+
+
 def _consistency(nds: NdsDefinition, model: LumpedModel):
     """(ConsistencyReport, W): the one consistency pass behind
     ``check_consistency`` and ``recover_scm``."""
-    if not check_reconstructible(nds).reconstructible:
-        raise NotReconstructible(
-            "K must be FCR and L must be FRR for the consistency test")
+    ports = _ports(nds)
+    # L_j^+ is the transpose of (L_j L_j^T)^-1 L_j
+    k_plus = [(_gram_solve(ratmat.transpose(_k_matrix(s))), rows, v)
+              for s, rows, _, v, _ in ports]
+    l_plus = [(ratmat.transpose(_gram_solve(_l_matrix(s))), cols, z)
+              for s, _, cols, _, z in ports]
     if ratmat.thaw(model.E_hat) != nds.block("E"):
         raise ShapeError("lumped E must equal the block-diagonal E exactly")
-    ports = _ports(nds)
     e_d = _model_deviation(nds, model, ports)
     e_t = ratmat.transpose(e_d)
-    res_left, res_right_t, k_plus, l_plus = [], [], [], []
-    for s, rows, cols, v, z in ports:
-        k, latch = _k_matrix(s), _l_matrix(s)
-        res_left += ratmat.matmul(ratmat.left_null_space(k, cols=s.n_v),
-                                  [e_d[r] for r in rows], inner=len(rows))
-        res_right_t += ratmat.matmul(
-            ratmat.transpose(ratmat.null_space(latch)),
-            [e_t[c] for c in cols], inner=len(cols))
-        k_t = ratmat.transpose(k)
-        k_plus.append((ratmat.solve(ratmat.matmul(k_t, k), k_t), rows, v))
-        # (L_j L_j^T)^-1 L_j is the transpose of L_j^+
-        l_plus_t = ratmat.solve(
-            ratmat.matmul(latch, ratmat.transpose(latch)), latch)
-        l_plus.append((ratmat.transpose(l_plus_t), cols, z))
+    cond_left = all(ratmat.is_zero(ratmat.matmul(
+        ratmat.left_null_space(_k_matrix(s), cols=s.n_v),
+        [e_d[r] for r in rows], inner=len(rows)))
+        for s, rows, _, _, _ in ports)
+    cond_right = all(ratmat.is_zero(ratmat.matmul(
+        ratmat.transpose(ratmat.null_space(_l_matrix(s))),
+        [e_t[c] for c in cols], inner=len(cols)))
+        for s, _, cols, _, _ in ports)
     h_m = _block_right(_block_left(k_plus, e_d, nds.m_v), l_plus, nds.m_z)
     w = ratmat.add(ratmat.identity(nds.m_v), _times_d_zv(nds, ports, h_m))
     # cond_hm and uniqueness are both rank W = m_v (ConsistencyReport)
     unique = ratmat.rank(w) == nds.m_v
-    cond_left = ratmat.is_zero(res_left)
-    cond_right = ratmat.is_zero(res_right_t)
     report = ConsistencyReport(
         cond_left=cond_left, cond_right=cond_right, cond_hm=unique,
         H_m=h_m, consistent=cond_left and cond_right and unique,
-        recovery_unique=unique, residual_left=res_left,
-        residual_right=ratmat.transpose(res_right_t, cols=len(e_d)))
+        recovery_unique=unique)
     return report, w
 
 

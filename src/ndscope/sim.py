@@ -37,17 +37,17 @@ regularity of every subsystem (an irregular subsystem raises
 ``NotRegular``), then computes the exact external transfer matrix once,
 by ``descriptor_tfm`` on the lifted realization.  Its rules stop at the
 first that fails, in this order: ``irregular`` (that call finds the
-lifted pencil singular), ``not_well_posed`` (I - Phi D_zv is singular),
-``singular_e`` (the lumped E is singular) and ``unstable``
-(``stability_margins`` of E^-1 A).  If all pass it returns the exact
-transfer matrix, the lumped model as doubles, the ``FloatRealization``
-(E^-1 A, E^-1 B, C, D) that ``simulate`` takes, and the margins, whose
-spectral radii ``choose_sampling`` reads; else the rule's name, with the
-margins only for ``unstable`` and no transfer matrix.  ``tau_sweep``
-records the name as a skipped row's reason and adds ``too_many_samples``
-(past ``MAX_SAMPLES``; the row keeps its margins); callers that cannot
-skip, ``distance_freq`` and the CLI, raise the rule's typed error by
-``Screening.require``.
+lifted pencil singular), ``not_well_posed`` (``lump``, building the
+float model, finds I - Phi D_zv singular), ``singular_e`` (the lumped E
+is singular) and ``unstable`` (``stability_margins`` of E^-1 A).  If all
+pass it returns the exact transfer matrix, the lumped model as doubles,
+the ``FloatRealization`` (E^-1 A, E^-1 B, C, D) that ``simulate`` takes,
+and the margins, whose spectral radii ``choose_sampling`` reads; else
+the rule's name, with the margins only for ``unstable`` and no transfer
+matrix.  ``tau_sweep`` records the name as a skipped row's reason and
+adds ``too_many_samples`` (past ``MAX_SAMPLES``; the row keeps its
+margins); callers that cannot skip, ``distance_freq`` and the CLI, raise
+the rule's typed error by ``Screening.require``.
 """
 
 from __future__ import annotations
@@ -60,10 +60,9 @@ import numpy as np
 import scipy.linalg
 
 from . import ratmat
-from .identifiability import UndiffRegion, check_identifiable_at, undiff_region
 from .model import (
     NdsDefinition, NotRegular, NotWellPosed, SCMatrix, _check_subsystems,
-    check_well_posed, descriptor_tfm, lifted_realization, nds_tfm,
+    descriptor_tfm, lifted_realization, nds_tfm,
 )
 from .polymat import InputError, RatFunMat, ShapeError
 from .reconstruction import lump
@@ -361,10 +360,10 @@ def screen(nds: NdsDefinition, phi: SCMatrix) -> Screening:
         tfm = descriptor_tfm(*lifted_realization(nds, phi))
     except NotRegular:
         return Screening("irregular")
-    if not check_well_posed(nds, phi):
-        return Screening("not_well_posed")
     try:
         real = _lumped_float(nds, phi)
+    except NotWellPosed:
+        return Screening("not_well_posed")
     except SingularE:
         return Screening("singular_e")
     margins = stability_margins(real.a, nds.time_domain)
@@ -558,7 +557,7 @@ def hinf_norm(diff: RatFunMat, domain: str = "continuous",
     return max(best, fc, fd)
 
 
-def distance_scm(phi_t: SCMatrix, region: UndiffRegion) -> float:
+def distance_scm(phi_t: SCMatrix, region) -> float:
     """Largest singular value of the SCM deviation after projecting it
     onto the span of the region generators (column by column)."""
     delta = ratmat.sub(phi_t.as_lists(), region.phi0.as_lists())
@@ -592,21 +591,21 @@ class SweepRow:
 
 
 def tau_sweep(nds: NdsDefinition, phi0: SCMatrix, phi_tilde: SCMatrix,
-              tau_grid, config: SimConfig | None = None,
-              region: UndiffRegion | None = None, *,
+              tau_grid, config: SimConfig | None = None, *, region,
               seed: int | None = None) -> list:
     """Distances and margins along Phi0 + tau (Phi_tilde - Phi0).
 
-    A grid point that fails a rule of ``screen``, or whose sampling rule
+    d_S projects onto ``region``, the caller's UndiffRegion at Phi0.  A
+    grid point that fails a rule of ``screen``, or whose sampling rule
     asks for more than MAX_SAMPLES samples, is skipped with the reason
     recorded (module docstring).  Every row probes with the first M
     samples of one PRBS of amplitude 10 drawn from ``seed`` (default 0),
     so a row does not depend on the other points of the grid.  ``config``
     is the older way to pass the seed: its seed and amplitude are used and
     its T and M are ignored; passing both ``config`` and ``seed`` is a
-    TypeError.  Every SCM, the reference included, is screened once, and
-    its screening supplies the realization, the margins and the exact
-    transfer matrix of its row.
+    TypeError.  Every SCM is screened once, and its screening supplies the
+    realization, the margins and the exact transfer matrix of its row; a
+    point equal to Phi0 shares the reference's, so d_T = d_F = 0.0 there.
     """
     if config is not None and seed is not None:
         raise TypeError("pass the seed either in config or as seed=")
@@ -614,12 +613,6 @@ def tau_sweep(nds: NdsDefinition, phi0: SCMatrix, phi_tilde: SCMatrix,
         seed, amplitude = config.seed, config.amplitude
     else:
         seed, amplitude = seed or 0, 10.0
-    if region is None:
-        report = check_identifiable_at(nds, phi0)
-        region = undiff_region(report, phi0) \
-            if report.verdict == "not_identifiable" \
-            else UndiffRegion(phi0=phi0,
-                              basis=[[] for _ in range(phi0.rows)])
     ref = screen(nds, phi0).require("the reference system of the sweep")
     delta = ratmat.sub(phi_tilde.as_lists(), phi0.as_lists())
     stream = None      # the longest PRBS drawn so far; rows use prefixes
@@ -628,7 +621,7 @@ def tau_sweep(nds: NdsDefinition, phi0: SCMatrix, phi_tilde: SCMatrix,
         tau = Fraction(tau)
         phi_tau = SCMatrix(ratmat.freeze(
             ratmat.add(phi0.as_lists(), ratmat.scale(delta, tau))))
-        screened = screen(nds, phi_tau)
+        screened = ref if phi_tau == phi0 else screen(nds, phi_tau)
         if screened.reason is not None:
             rows.append(SweepRow(tau=tau, skipped=True,
                                  reason=screened.reason,

@@ -591,17 +591,41 @@ class TestSweepCmd:
         assert csv[0] == csv[1]
         assert len(csv[0].splitlines()) == 1 + 4 * 21
 
+    def test_empty_grid_with_jobs(self, model_path, tmp_path, schema):
+        # no grid point: every direction still gets one task, which
+        # screens its reference, and the pool is never sized to 0
+        csv = []
+        for jobs in ("1", "2"):
+            out = str(tmp_path / f"jobs{jobs}")
+            code, doc = run_json(
+                ["sweep", model_path, "--scm0", PHI0_INLINE,
+                 "--directions", "paper", "--tau", "5:1:1",
+                 "--jobs", jobs, "--out-dir", out], schema)
+            assert code == 0 and doc["result"]["taus"] == 0
+            csv.append(open(os.path.join(out, "sweep.csv"), "rb").read())
+        assert csv[0] == csv[1] == \
+            b"k,tau,d_T,d_F,d_S,s_mr,s_md,skipped,reason\n"
+
     @pytest.mark.parametrize("cpus,want", [(64, 3), (2, 2)])
     def test_pool_capped_at_tasks_and_cpus(self, model_path, tmp_path,
                                            schema, monkeypatch, cpus, want):
         import concurrent.futures
-        sizes = []
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        # one set, one unset: both must come back as they were
+        monkeypatch.setenv("OMP_NUM_THREADS", "7")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        sizes, starts = [], []
 
         class InlinePool:
-            """Records the pool size and runs the tasks in this process."""
+            """Records the pool size, start method and the BLAS thread
+            variables its workers would inherit, and runs the tasks in
+            this process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context=None):
                 sizes.append(max_workers)
+                starts.append((mp_context.get_start_method(),
+                               [os.environ.get(k) for k in blas]))
 
             def __enter__(self):
                 return self
@@ -630,6 +654,10 @@ class TestSweepCmd:
         # --jobs 1 starts no pool; 3 grid points are 3 tasks
         assert sizes == [want]
         assert written[0] == written[1]
+        # spawned workers load BLAS with one thread; the parent's
+        # environment is restored afterwards
+        assert starts == [("spawn", ["1", "1", "1"])]
+        assert [os.environ.get(k) for k in blas] == ["7", None, None]
 
     def test_oversized_tau_grid_exit_2(self, model_path, tmp_path, schema):
         # 2e10 points: refused from the point count, before any is built
@@ -687,9 +715,29 @@ class TestSweepCmd:
 
 
 class TestReproduceCmd:
-    def test_summary_contents(self, tmp_path, schema):
+    def test_summary_contents(self, tmp_path, schema, monkeypatch):
+        import ndscope.model as model
+        import ndscope.sim as sim
+        from ndscope.fixtures import PHI0, PHI_DIFF, PHI_EQUIV
+        built = []
+
+        def counted(fn):
+            def wrapper(nds, phi):
+                built.append(phi.entries)
+                return fn(nds, phi)
+            return wrapper
+        for mod in (model, sim):
+            monkeypatch.setattr(mod, "lifted_realization",
+                                counted(mod.lifted_realization))
         out = str(tmp_path / "repro")
         code, doc = run_json(["reproduce-paper", "--out-dir", out], schema)
+        # Phi0's lifted realization: the identifiability check's
+        # regularity test, its screening, each of the four sweeps'
+        # references and the spot scan's tau = 0 point.  Phi_u and Phi_i
+        # are screened once, and their screenings serve the TFM checks
+        # and the simulations.
+        assert [built.count(phi.entries) for phi in
+                (PHI0, PHI_EQUIV, PHI_DIFF)] == [7, 1, 1]
         checks = {c["name"]: c["ok"] for c in doc["result"]["checks"]}
         assert checks["not identifiable at Phi0"]
         assert checks["null basis spans (0,0,1,-2)^T"]
@@ -714,7 +762,8 @@ class TestReproduceCmd:
 class TestOneScreening:
     """Each screened SCM gets one lifted realization, whose one
     nonsingular-point search decides regularity and yields the exact TFM,
-    one lump and one eig; no caller transfers it again."""
+    one lump, whose solve with I - Phi D_zv decides well-posedness, and
+    one eig; no caller transfers it again."""
 
     def test_each_scm_lumped_and_transferred_once(self, model_path,
                                                    tmp_path, monkeypatch):
@@ -750,9 +799,9 @@ class TestOneScreening:
                 (sim, "exact_tfm", "tfm", None)):
             monkeypatch.setattr(mod, attr, counted(name, getattr(mod, attr),
                                                    keep))
-        # counted wherever ndscope imports it: lump must not test
-        # well-posedness again after the screen did
-        well_posed = counted("well_posed", sim.check_well_posed)
+        # counted wherever the study engine could import it: the screen
+        # reads well-posedness from lump's solve and runs no separate test
+        well_posed = counted("well_posed", model.check_well_posed)
         for mod in (sim, reconstruction):
             monkeypatch.setattr(mod, "check_well_posed", well_posed,
                                 raising=False)
@@ -764,10 +813,10 @@ class TestOneScreening:
             for v in calls.values():
                 v.clear()
 
-        # a sweep with k kept rows screens k + 1 SCMs, the reference
-        # included; the singular-value plot reuses a row's TFM.  The
-        # region's check_identifiable_at tests Phi0's regularity once more
-        # on its own lifted pencil.
+        # a sweep with k kept rows screens k SCMs: its tau = 0 row is
+        # Phi0 and shares the reference's screening; the singular-value
+        # plot reuses a row's TFM.  The region's check_identifiable_at
+        # tests Phi0's regularity once more on its own lifted pencil.
         dirs = tmp_path / "dirs.json"
         dirs.write_text(json.dumps(
             [[[str(x) for x in row] for row in SWEEP_DIRECTIONS[0].entries]]))
@@ -779,9 +828,9 @@ class TestOneScreening:
         with open(out / "sweep.csv", encoding="utf-8") as fh:
             k = sum(row["skipped"] == "0" for row in csv.DictReader(fh))
         assert k == 3
-        assert per_screen() == {"lifted": k + 1, "points": k + 2,
-                                "eig": k + 1, "lump": k + 1,
-                                "well_posed": k + 1, "regular": 1, "tfm": 0}
+        assert per_screen() == {"lifted": k, "points": k + 1,
+                                "eig": k, "lump": k,
+                                "well_posed": 0, "regular": 1, "tfm": 0}
 
         # simulate screens each SCM once, in order, and its d_F reads
         # the screenings' TFMs
@@ -793,7 +842,7 @@ class TestOneScreening:
         assert [args[1].entries for args in calls["lifted"]] == \
             [PHI0.entries, PHI_DIFF.entries]
         assert per_screen() == {"lifted": 2, "points": 2, "eig": 2,
-                                "lump": 2, "well_posed": 2, "regular": 0,
+                                "lump": 2, "well_posed": 0, "regular": 0,
                                 "tfm": 0}
 
         # the spot scan screens the 201 grid points and the graze point
@@ -806,5 +855,5 @@ class TestOneScreening:
         phis = [args[1].entries for args in calls["lifted"]]
         assert len(set(phis)) == len(phis) == 202
         assert per_screen() == {"lifted": 202, "points": 202, "eig": 202,
-                                "lump": 202, "well_posed": 202,
+                                "lump": 202, "well_posed": 0,
                                 "regular": 0, "tfm": 0}

@@ -267,12 +267,24 @@ class TestRegion:
         with pytest.raises(RegionIsTrivial):
             undiff_region(rep, PHI_DIFF)
 
-    def test_verify_by_tfm(self):
+    def test_verify_by_tfm(self, monkeypatch):
+        import ndscope.model as model
         nds = demo_nds()
         rep = check_identifiable_at(nds, PHI0)
         region = undiff_region(rep, PHI0)
+        builds = []
+
+        def counted(nds, phi):
+            builds.append(phi.entries)
+            return lifted(nds, phi)
+        lifted = model.lifted_realization
+        monkeypatch.setattr(model, "lifted_realization", counted)
         assert verify_region_by_tfm(nds, PHI0, region, n_in=5, n_out=5,
                                     seed=0)
+        # one lifted build for phi0 and one per sample: each sample's
+        # transfer decides its regularity too
+        assert len(builds) == 1 + 5 + 5
+        assert len(set(builds)) == len(builds)
 
     def test_verify_trivial_region(self):
         nds = demo_nds()

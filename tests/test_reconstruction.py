@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -179,6 +180,32 @@ class TestConsistency:
         model = lump(nds, SCMatrix.zero(2, 1))
         with pytest.raises(NotReconstructible):
             check_consistency(nds, model)
+
+    @pytest.mark.parametrize("zeroed", [("B_xv", "D_yv"), ("C_zx", "D_zu")],
+                             ids=["K-not-FCR", "L-not-FRR"])
+    def test_gram_solves_decide_reconstructibility(self, monkeypatch,
+                                                   zeroed):
+        # the K_i^T K_i and L_j L_j^T solves decide it; the rank test of
+        # check_reconstructible is not run again
+        def forbidden(*args):
+            raise AssertionError("check_reconstructible ran")
+        monkeypatch.setattr(recon, "check_reconstructible", forbidden)
+        sub = demo_nds().subsystems[0]
+        bad = dataclasses.replace(sub, **{
+            name: tuple(tuple(F(0) for _ in row) for row in getattr(sub, name))
+            for name in zeroed})
+        nds = NdsDefinition(subsystems=(bad,))
+        model = lump(nds, SCMatrix.zero(2, 1))
+        with pytest.raises(NotReconstructible):
+            check_consistency(nds, model)
+        # still before the lumped-E check
+        wrong = LumpedModel(**{**model.__dict__, "E_hat": rm.freeze(
+            rm.scale(rm.identity(len(model.E_hat)), F(2)))})
+        with pytest.raises(NotReconstructible):
+            recover_scm(nds, wrong)
+        # and a reconstructible network passes without it
+        nds = demo_nds()
+        assert check_consistency(nds, lump(nds, PHI0)).consistent
 
 
 def scalar_loop_nds():

@@ -498,6 +498,21 @@ def _one_state(c_zx):
     return NdsDefinition(subsystems=(sub,))
 
 
+def _region(nds, phi0):
+    """The undifferentiable region at phi0, as ``ndscope sweep`` builds
+    it; an identifiable SCM gets the trivial region."""
+    report = check_identifiable_at(nds, phi0)
+    if report.verdict == "not_identifiable":
+        return undiff_region(report, phi0)
+    return UndiffRegion(phi0=phi0, basis=[[] for _ in range(phi0.rows)])
+
+
+def _sweep(nds, phi0, direction, taus, *args, **kwargs):
+    """``tau_sweep`` with the region that ``ndscope sweep`` passes."""
+    return tau_sweep(nds, phi0, direction, taus, *args,
+                     region=_region(nds, phi0), **kwargs)
+
+
 class TestScreen:
     def test_passing_screen_carries_the_exact_tfm(self):
         nds = demo_nds()
@@ -553,12 +568,27 @@ class TestScreen:
 
 
 class TestTauSweep:
-    def test_tau_zero_row(self):
+    def test_tau_zero_row(self, monkeypatch):
+        # tau = 0 is Phi0: the row shares the reference's screening, so
+        # both sides of its distances come from one realization and TFM
+        screened = []
+
+        def counted(nds, phi):
+            screened.append(phi.entries)
+            return screen(nds, phi)
+        monkeypatch.setattr(ndscope.sim, "screen", counted)
         nds = demo_nds()
-        rows = tau_sweep(nds, PHI0, SWEEP_DIRECTIONS[1], [F(0)], seed=0)
+        rows = _sweep(nds, PHI0, SWEEP_DIRECTIONS[1], [F(0)], seed=0)
         r = rows[0]
         assert not r.skipped
         assert r.d_T == 0.0 and r.d_F == 0.0 and r.d_S == 0.0
+        assert r.tfm_diff.is_zero
+        assert screened == [PHI0.entries]
+
+    def test_region_is_required(self):
+        # d_S needs the caller's region; there is no default to rebuild it
+        with pytest.raises(TypeError, match="region"):
+            tau_sweep(demo_nds(), PHI0, SWEEP_DIRECTIONS[1], [F(0)], seed=0)
 
     @pytest.mark.parametrize("reason",
                              ["unstable", "irregular", "not_well_posed"])
@@ -571,7 +601,7 @@ class TestTauSweep:
             nds = _one_state(c_zx=0 if reason == "irregular" else 1)
             phi0, direction = SCMatrix.zero(1, 1), SCMatrix(((F(1),),))
             taus = [F(1, 4), F(1), F(3, 2)]
-        rows = tau_sweep(nds, phi0, direction, taus, seed=0)
+        rows = _sweep(nds, phi0, direction, taus, seed=0)
         assert [r.skipped for r in rows] == [False, True, False]
         assert rows[1].reason == reason
         # only the stability rule computes margins
@@ -579,7 +609,7 @@ class TestTauSweep:
 
     def test_rows_carry_margins_and_sampling(self):
         nds = demo_nds()
-        rows = tau_sweep(nds, PHI0, SWEEP_DIRECTIONS[3], [F(1)], seed=0)
+        rows = _sweep(nds, PHI0, SWEEP_DIRECTIONS[3], [F(1)], seed=0)
         r = rows[0]
         assert r.margins is not None and r.margins.stable
         assert r.M >= 10_000 and r.T > 0
@@ -587,31 +617,31 @@ class TestTauSweep:
 
     def test_tau_zero_after_longer_row(self):
         # tau = 1.2 draws M = 23,826 samples; tau = 0 then reuses a prefix
-        rows = tau_sweep(demo_nds(), PHI0, SWEEP_DIRECTIONS[0],
-                         [F(12, 10), F(0)], seed=0)
+        rows = _sweep(demo_nds(), PHI0, SWEEP_DIRECTIONS[0],
+                      [F(12, 10), F(0)], seed=0)
         assert rows[0].M > rows[1].M == 10_000
         assert rows[1].d_T == 0.0 and rows[1].d_F == 0.0
 
     def test_rows_independent_of_grid(self):
         nds = demo_nds()
-        alone = tau_sweep(nds, PHI0, SWEEP_DIRECTIONS[0], [F(1)], seed=4)
-        after = tau_sweep(nds, PHI0, SWEEP_DIRECTIONS[0], [F(12, 10), F(1)],
-                          seed=4)
+        alone = _sweep(nds, PHI0, SWEEP_DIRECTIONS[0], [F(1)], seed=4)
+        after = _sweep(nds, PHI0, SWEEP_DIRECTIONS[0], [F(12, 10), F(1)],
+                       seed=4)
         assert (after[1].d_T, after[1].d_F, after[1].d_S) == \
             (alone[0].d_T, alone[0].d_F, alone[0].d_S)
 
     def test_config_supplies_seed_and_amplitude(self):
         nds = demo_nds()
         d = SWEEP_DIRECTIONS[3]
-        by_keyword = tau_sweep(nds, PHI0, d, [F(1)], seed=3)[0].d_T
-        assert tau_sweep(nds, PHI0, d, [F(1)],
-                         SimConfig(T=1.0, M=1, seed=3))[0].d_T == by_keyword
+        by_keyword = _sweep(nds, PHI0, d, [F(1)], seed=3)[0].d_T
+        assert _sweep(nds, PHI0, d, [F(1)],
+                      SimConfig(T=1.0, M=1, seed=3))[0].d_T == by_keyword
         # the system is linear and starts at rest: d_T scales with amplitude
-        halved = tau_sweep(nds, PHI0, d, [F(1)],
-                           SimConfig(T=1.0, M=1, seed=3, amplitude=5.0))
+        halved = _sweep(nds, PHI0, d, [F(1)],
+                        SimConfig(T=1.0, M=1, seed=3, amplitude=5.0))
         assert halved[0].d_T == pytest.approx(by_keyword / 2, rel=1e-12)
         with pytest.raises(TypeError):
-            tau_sweep(nds, PHI0, d, [F(1)], SimConfig(T=1.0, M=1), seed=3)
+            _sweep(nds, PHI0, d, [F(1)], SimConfig(T=1.0, M=1), seed=3)
 
     def test_too_many_samples_skipped(self, monkeypatch):
         # tau = 1.095 on direction 1 is stable, 0.005 short of the graze,
@@ -620,8 +650,8 @@ class TestTauSweep:
             raise AssertionError("no signal may be drawn for this row")
         monkeypatch.setattr(ndscope.sim, "prbs", refuse)
         monkeypatch.setattr(ndscope.sim, "simulate", refuse)
-        rows = tau_sweep(demo_nds(), PHI0, SWEEP_DIRECTIONS[0],
-                         [F(1095, 1000)], seed=0)
+        rows = _sweep(demo_nds(), PHI0, SWEEP_DIRECTIONS[0],
+                      [F(1095, 1000)], seed=0)
         assert rows[0].skipped and rows[0].reason == "too_many_samples"
         assert rows[0].margins.stable
 
@@ -629,7 +659,7 @@ class TestTauSweep:
         # the time distance grows for small tau and decays past a peak
         nds = demo_nds()
         taus = [F(0), F(1), F(2), F(3)]
-        rows = tau_sweep(nds, PHI0, SWEEP_DIRECTIONS[0], taus, seed=0)
+        rows = _sweep(nds, PHI0, SWEEP_DIRECTIONS[0], taus, seed=0)
         d_t = [r.d_T for r in rows]
         assert d_t[1] > d_t[0]
         assert d_t[2] < d_t[1] and d_t[3] < d_t[2]
