@@ -31,6 +31,25 @@ uint64 arrays.  The output is bit-identical to stepping each stream one
 sample at a time, and ``prbs(seed, m, c)`` is the first m rows of
 ``prbs(seed, m', c)`` for every m' >= m.
 
+Frequency distance.  ``hinf_norm`` takes the largest singular value
+sigma_max of an exact rational matrix H on a grid of the frequency axis
+(w = 0 and 2,000 log-spaced points of [1e-3, 1e3] on s = jw; 2,000
+points of [0, pi] on z = exp(jw)), then sharpens the best grid point by
+golden-section search between its two neighbours.  Each call converts the
+coefficients to doubles once, into one zero-padded table with the highest
+power first, and one Horner pass over the degree evaluates every
+numerator and denominator at all points; the grid and every golden step
+share that table.  Leading zeros leave Horner's rule where ``np.polyval``
+starts, so ``freq_response`` is bit-identical to ``np.polyval`` entry by
+entry.  sigma_max^2 is the largest eigenvalue of the Gram matrix of the
+k = min(m_y, m_u) columns (or rows) of H: for k = 1 a squared norm, for
+k = 2 (a + d)/2 + hypot((a - d)/2, |b|) from the Gram entries [[a, b],
+[conj b, d]], a sum of nonnegative terms, so it agrees with LAPACK to a
+few ulps.  Each point's matrix is first scaled by the power of two of
+its largest real or imaginary part; the scaling is exact, no square can
+overflow, and only parts negligible next to the largest can underflow.
+For k >= 3 sigma_max is the batched LAPACK SVD.
+
 Skip rules.  ``screen(nds, phi)`` is the one place that turns an SCM
 into the study engine's facts.  It first checks the SCM's shape and the
 regularity of every subsystem (an irregular subsystem raises
@@ -480,25 +499,74 @@ def exact_tfm(nds: NdsDefinition, phi: SCMatrix) -> RatFunMat:
     return nds_tfm(nds, phi)
 
 
+def _coeff_table(h: RatFunMat) -> np.ndarray:
+    """Float coefficients of every numerator, then every denominator, of
+    ``h`` (entries row by row), zero-padded to one width, highest power
+    first."""
+    polys = ([e.num for row in h.entries for e in row]
+             + [e.den for row in h.entries for e in row])
+    width = max([len(p.coeffs) for p in polys] + [1])
+    table = np.zeros((len(polys), width))
+    for row, p in zip(table, polys):
+        if p.coeffs:
+            row[width - len(p.coeffs):] = [float(c) for c in
+                                           reversed(p.coeffs)]
+    return table
+
+
+def _response(table: np.ndarray, points: np.ndarray, rows: int,
+              cols: int) -> np.ndarray:
+    """Response matrices from a ``_coeff_table``: one Horner pass over
+    the degree evaluates every polynomial at every point."""
+    vals = np.zeros((len(table), len(points)),
+                    dtype=np.result_type(points.dtype, np.float64))
+    for c in table.T:
+        vals *= points
+        vals += c[:, None]
+    n = rows * cols
+    resp = (vals[:n] / vals[n:]).T.reshape(len(points), rows, cols)
+    return resp.astype(complex, copy=False)
+
+
+def _sigma_max(resp: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack (p, m, n)."""
+    k = min(resp.shape[1:])
+    if k == 0:
+        return np.zeros(len(resp))
+    if k >= 3:
+        return np.linalg.svd(resp, compute_uv=False)[:, 0]
+    # the k columns of H, or of H^T when H is wide; sigma_max^2 is the
+    # largest eigenvalue of their k x k Gram matrix
+    vecs = resp if resp.shape[2] == k else resp.transpose(0, 2, 1)
+    # scale each matrix by a power of two (exact) that puts its largest
+    # real or imaginary part in [1/2, 1): no square below can overflow,
+    # and only parts negligible next to that one can underflow
+    top = np.maximum(np.abs(vecs.real), np.abs(vecs.imag)).max(axis=(1, 2))
+    e = np.frexp(top)[1]
+    re = np.ldexp(vecs.real, -e[:, None, None])
+    im = np.ldexp(vecs.imag, -e[:, None, None])
+    sq = (re * re + im * im).sum(axis=1)
+    if k == 1:
+        lam = sq[:, 0]
+    else:
+        a, d = sq[:, 0], sq[:, 1]
+        b = np.hypot((re[:, :, 0] * re[:, :, 1]
+                      + im[:, :, 0] * im[:, :, 1]).sum(axis=1),
+                     (re[:, :, 0] * im[:, :, 1]
+                      - im[:, :, 0] * re[:, :, 1]).sum(axis=1))
+        lam = (a + d) / 2 + np.hypot((a - d) / 2, b)
+    return np.ldexp(np.sqrt(lam), e)
+
+
 def freq_response(h: RatFunMat, points) -> np.ndarray:
     """Complex response matrices H(p) of an exact rational matrix, stacked
     along the first axis, one per point p."""
-    points = np.asarray(points)
-    out = np.empty((len(points), h.rows, h.cols), dtype=complex)
-    for i in range(h.rows):
-        for j in range(h.cols):
-            e = h.entries[i][j]
-            num = np.array([float(c) for c in reversed(e.num.coeffs)]) \
-                if e.num.coeffs else np.array([0.0])
-            den = np.array([float(c) for c in reversed(e.den.coeffs)])
-            out[:, i, j] = np.polyval(num, points) / np.polyval(den, points)
-    return out
+    return _response(_coeff_table(h), np.asarray(points), h.rows, h.cols)
 
 
 def sigma_max(diff: RatFunMat, points: np.ndarray) -> np.ndarray:
     """Largest singular value of an exact rational matrix at each point."""
-    resp = freq_response(diff, points)
-    return np.linalg.svd(resp, compute_uv=False)[:, 0]
+    return _sigma_max(freq_response(diff, points))
 
 
 def distance_freq(nds: NdsDefinition, phi1: SCMatrix, phi2: SCMatrix,
@@ -529,7 +597,11 @@ def hinf_norm(diff: RatFunMat, domain: str = "continuous",
         def pts(ts):
             return np.exp(1j * ts)
         ts = np.linspace(0.0, math.pi, grid)
-    vals = sigma_max(diff, pts(np.asarray(ts)))
+    table = _coeff_table(diff)
+
+    def sig(ts):
+        return _sigma_max(_response(table, pts(ts), diff.rows, diff.cols))
+    vals = sig(ts)
     k = int(np.argmax(vals))
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, len(ts) - 1)]
@@ -539,17 +611,17 @@ def hinf_norm(diff: RatFunMat, domain: str = "continuous",
     a_t, b_t = lo, hi
     c_t = b_t - gr * (b_t - a_t)
     d_t = a_t + gr * (b_t - a_t)
-    fc = float(sigma_max(diff, pts(np.array([c_t])))[0])
-    fd = float(sigma_max(diff, pts(np.array([d_t])))[0])
+    fc = float(sig(np.array([c_t]))[0])
+    fd = float(sig(np.array([d_t]))[0])
     for _ in range(200):
         if fc < fd:
             a_t, c_t, fc = c_t, d_t, fd
             d_t = a_t + gr * (b_t - a_t)
-            fd = float(sigma_max(diff, pts(np.array([d_t])))[0])
+            fd = float(sig(np.array([d_t]))[0])
         else:
             b_t, d_t, fd = d_t, c_t, fc
             c_t = b_t - gr * (b_t - a_t)
-            fc = float(sigma_max(diff, pts(np.array([c_t])))[0])
+            fc = float(sig(np.array([c_t]))[0])
         peak = max(fc, fd)
         if abs(b_t - a_t) <= 1e-12 + 1e-9 * abs(b_t) or \
                 (peak > 0 and abs(fd - fc) <= 1e-7 * peak):

@@ -17,7 +17,8 @@ from ndscope.sim import (
     MAX_SAMPLES, SimConfig, SingularE, TooManySamples, Trajectory, Unstable,
     ZeroSpectrum, choose_sampling, distance_freq, distance_scm,
     distance_time, eig, exact_tfm, expm, freq_response, hinf_norm, prbs,
-    relative_error, screen, simulate, stability_margins, stm, svd, tau_sweep,
+    relative_error, screen, sigma_max, simulate, stability_margins, stm, svd,
+    tau_sweep,
 )
 from ndscope.identifiability import (
     UndiffRegion, check_identifiable_at, undiff_region,
@@ -451,6 +452,145 @@ class TestDistances:
         for w, got in zip(ws, resp):
             ss = c @ np.linalg.solve(1j * w * np.eye(4) - a, b) + d
             assert np.max(np.abs(got - ss)) <= 1e-8 * (1 + np.abs(ss).max())
+
+
+
+def _rf(num, den=(1,)):
+    """RatFun from coefficient tuples, lowest power first."""
+    return RatFun(Poly(num), Poly(den))
+
+
+def _rand_ratfunmat(rng, rows, cols):
+    """Entries of numerator degree 0..2 and denominator degree 1..3."""
+    def coeffs(deg):
+        cs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(deg)]
+        return tuple(cs) + (F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)),)
+    return RatFunMat(rows, cols, [
+        [_rf(coeffs(rng.randint(0, 2)), coeffs(rng.randint(1, 3)))
+         for _ in range(cols)] for _ in range(rows)])
+
+
+def _lapack_sigma(resp):
+    return np.linalg.svd(resp, compute_uv=False)[:, 0]
+
+
+SHAPES = [(1, 1), (1, 3), (3, 1), (2, 2), (2, 5), (5, 2), (3, 3)]
+
+
+class TestFrequencyKernels:
+    """The closed-form sigma_max against LAPACK, the stacked Horner pass
+    against np.polyval, and hinf_norm on hand-computed norms."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_sigma_max_helper_matches_svd(self, shape):
+        rng = np.random.default_rng(100 + 10 * shape[0] + shape[1])
+        resp = (rng.standard_normal((300,) + shape)
+                + 1j * rng.standard_normal((300,) + shape))
+        np.testing.assert_allclose(ndscope.sim._sigma_max(resp),
+                                   _lapack_sigma(resp), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_sigma_max_matches_svd(self, shape):
+        diff = _rand_ratfunmat(random.Random(200 + 10 * shape[0] + shape[1]),
+                               *shape)
+        points = 1j * np.logspace(-2.0, 2.0, 101)
+        np.testing.assert_allclose(
+            sigma_max(diff, points),
+            _lapack_sigma(freq_response(diff, points)), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_sigma_max_rank_one_and_zero(self, shape):
+        rng = np.random.default_rng(300 + 10 * shape[0] + shape[1])
+        u = rng.standard_normal((50, shape[0], 1)) \
+            + 1j * rng.standard_normal((50, shape[0], 1))
+        v = rng.standard_normal((50, 1, shape[1])) \
+            + 1j * rng.standard_normal((50, 1, shape[1]))
+        rank_one = u @ v
+        np.testing.assert_allclose(ndscope.sim._sigma_max(rank_one),
+                                   _lapack_sigma(rank_one), rtol=1e-13, atol=0)
+        zero = np.zeros((4,) + shape, dtype=complex)
+        assert np.array_equal(ndscope.sim._sigma_max(zero), np.zeros(4))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("power", [700, -700])
+    def test_sigma_max_extreme_scale(self, shape, power):
+        # squares of 2^700 overflow and squares of 2^-700 underflow
+        rng = np.random.default_rng(400 + 10 * shape[0] + shape[1])
+        resp = (rng.standard_normal((100,) + shape)
+                + 1j * rng.standard_normal((100,) + shape))
+        scaled = np.ldexp(resp.real, power) + 1j * np.ldexp(resp.imag, power)
+        np.testing.assert_allclose(ndscope.sim._sigma_max(scaled),
+                                   np.ldexp(_lapack_sigma(resp), power),
+                                   rtol=1e-13, atol=0)
+
+    def test_freq_response_is_polyval(self):
+        # a zero numerator and entries of unequal degree share one table
+        h = RatFunMat(2, 3, [
+            [RatFun(Poly(())), _rf((1,), (1, 1)), _rf((F(7, 3),))],
+            [_rf((3, 0, 1), (5, 2, 0, 1)), _rf((F(-1, 2), 4), (2, 1)),
+             _rf((1, 1, 1, 1, F(1, 9)), (3, F(1, 7), 1))]])
+        for points in (np.concatenate((
+                1j * np.logspace(-3.0, 3.0, 50),
+                np.exp(1j * np.linspace(0.0, math.pi, 50)))),
+                np.arange(7)):
+            want = np.empty((len(points), 2, 3), dtype=complex)
+            for i, row in enumerate(h.entries):
+                for j, e in enumerate(row):
+                    num = [float(c) for c in reversed(e.num.coeffs)] or [0.0]
+                    den = [float(c) for c in reversed(e.den.coeffs)]
+                    want[:, i, j] = (np.polyval(num, points)
+                                     / np.polyval(den, points))
+            got = freq_response(h, points)
+            assert got.dtype == complex
+            assert np.array_equal(got, want)
+
+    def test_hinf_zero_size(self):
+        assert hinf_norm(RatFunMat(0, 2, [])) == 0.0
+        assert hinf_norm(RatFunMat(2, 0, [[], []])) == 0.0
+        assert np.array_equal(sigma_max(RatFunMat(0, 2, []), 1j * np.ones(3)),
+                              np.zeros(3))
+
+    def test_hinf_column_and_row(self):
+        # [1/(s+1), 2/(s+1)]: sigma = sqrt(5)/|jw + 1|, peak at w = 0
+        row = RatFunMat(1, 2, [[_rf((1,), (1, 1)), _rf((2,), (1, 1))]])
+        assert hinf_norm(row) == pytest.approx(math.sqrt(5.0), rel=1e-12)
+        # [1/(s+1); 1/(s+2)]: sigma^2 = 1/(1 + w^2) + 1/(4 + w^2)
+        col = RatFunMat(2, 1, [[_rf((1,), (1, 1))], [_rf((1,), (2, 1))]])
+        assert hinf_norm(col) == pytest.approx(math.sqrt(5.0) / 2, rel=1e-12)
+
+    def test_hinf_discrete_first_order(self):
+        # 1/(z - 1/2) peaks at z = 1 (w = 0, the grid's end point)
+        diff = RatFunMat(1, 1, [[_rf((1,), (F(-1, 2), 1))]])
+        assert hinf_norm(diff, "discrete") == pytest.approx(2.0, rel=1e-12)
+
+    def test_hinf_discrete_resonance_refinement(self):
+        # poles 0.99 exp(+-j theta), 2 * 0.99 cos(theta) = 1: the peak
+        # near theta = 1.0413 lies between points of the w grid
+        diff = RatFunMat(1, 1, [[_rf((1,), (F(9801, 10000), -1, 1))]])
+        got = hinf_norm(diff, "discrete")
+        z = np.exp(1j * np.linspace(1.0, 1.08, 400001))
+        want = float(np.max(np.abs(1.0 / (z * z - z + 0.9801))))
+        assert want * (1 - 1e-6) <= got <= want * (1 + 1e-8)
+
+    def test_no_lapack_below_three(self, monkeypatch):
+        """k = min(m_y, m_u) <= 2 takes the closed form; k = 3 still
+        reaches the batched SVD."""
+        nds = demo_nds()
+        demo = (screen(nds, PHI_DIFF).tfm - screen(nds, PHI0).tfm)
+        col = RatFunMat(2, 1, [[_rf((1,), (1, 1))], [_rf((1,), (2, 1))]])
+        cube = _rand_ratfunmat(random.Random(5), 3, 3)
+        calls = []
+
+        def patched(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("LAPACK SVD reached")
+        monkeypatch.setattr(ndscope.sim.np.linalg, "svd", patched)
+        assert hinf_norm(demo) > 0.0
+        assert hinf_norm(col) > 0.0
+        assert calls == []
+        with pytest.raises(AssertionError, match="LAPACK SVD reached"):
+            hinf_norm(cube)
+        assert len(calls) == 1
 
 
 class TestDistanceScm:
