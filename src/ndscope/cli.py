@@ -115,9 +115,9 @@ def load_scm(text_or_path, nds) -> SCMatrix:
     return phi
 
 
-def resolve_scm(args, nds, embedded, flag="--scm") -> SCMatrix:
-    if getattr(args, "scm", None):
-        return load_scm(args.scm, nds)
+def resolve_scm(text, nds, embedded, flag="--scm") -> SCMatrix:
+    if text:
+        return load_scm(text, nds)
     if embedded is not None:
         return embedded
     raise SchemaError(f"no SCM: pass {flag} or embed one in the model file")
@@ -143,7 +143,7 @@ def _region_payload(report, phi0):
 
 def cmd_check_identifiability(args) -> int:
     nds, embedded, constraint = load_model(args.model)
-    phi0 = resolve_scm(args, nds, embedded)
+    phi0 = resolve_scm(args.scm, nds, embedded)
     if args.constraints:
         constraint = parse_constraints(
             _load_json(args.constraints, "constraints file"), nds)
@@ -179,7 +179,7 @@ def cmd_check_identifiability(args) -> int:
 
 def cmd_region(args) -> int:
     nds, embedded, _ = load_model(args.model)
-    phi0 = resolve_scm(args, nds, embedded)
+    phi0 = resolve_scm(args.scm, nds, embedded)
     rep = check_identifiable_at(nds, phi0)
     seed = args.seed if args.seed is not None else default_seed()
     if rep.verdict != NOT_IDENTIFIABLE:
@@ -255,7 +255,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_lump(args) -> int:
     nds, embedded, _ = load_model(args.model)
-    phi = resolve_scm(args, nds, embedded)
+    phi = resolve_scm(args.scm, nds, embedded)
     model = lump(nds, phi)
     payload = {
         "E": mat_strs(model.E_hat), "A": mat_strs(model.A_hat),
@@ -366,8 +366,7 @@ def _usable_cpus() -> int:
 
 def cmd_sweep(args) -> int:
     nds, embedded, _ = load_model(args.model)
-    phi0 = load_scm(args.scm0, nds) if args.scm0 else resolve_scm(
-        args, nds, embedded, flag="--scm0")
+    phi0 = resolve_scm(args.scm0, nds, embedded, flag="--scm0")
     if args.directions == "paper":
         directions = list(fixtures.SWEEP_DIRECTIONS)
         if (phi0.rows, phi0.cols) != (4, 2):
@@ -648,7 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="distance sweep along SCM rays")
     p.add_argument("model")
     p.add_argument("--scm0", default=None)
-    p.add_argument("--scm", default=None, help=argparse.SUPPRESS)
     p.add_argument("--directions", required=True,
                    help="JSON file with a list of SCMs, or 'paper'")
     p.add_argument("--tau", default="0:0.1:20")

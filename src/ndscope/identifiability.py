@@ -101,12 +101,7 @@ class StackedCoeffMatrix:
         return len(self.entries)
 
     def is_fcr(self) -> bool:
-        # A block with no rows puts no constraint on delta and is treated
-        # as full column rank (the pencil then absorbs every direction).
-        # ``rank`` certifies full rank modulo a prime without the exact
-        # elimination that a kernel needs.
-        return not self.entries or \
-            ratmat.rank(self.entries, cols=self.cols) == self.cols
+        return _kernel(self.entries, self.cols)[0]
 
     def null_basis(self):
         """Canonical right-null basis (cols x d, d = 0 when FCR)."""
@@ -116,9 +111,12 @@ class StackedCoeffMatrix:
 def _kernel(rows, cols):
     """(fcr, canonical right-null basis) of a matrix with ``cols`` columns.
 
-    A matrix with no rows or no columns is of full column rank with a
-    cols x 0 basis; otherwise it is of full column rank iff its basis
-    has no columns.
+    The one full-column-rank rule of the stacked test.  A matrix with no
+    rows or no columns counts as of full column rank with a cols x 0
+    basis (no rows: no constraint on delta; yet a 0 x n matrix has the
+    kernel Q^n, the cause of the pinned a2 and a3 defects).  Otherwise it
+    is of full column rank iff its basis has no columns, which
+    ``null_space`` certifies modulo a prime, without exact elimination.
     """
     if not rows or not cols:
         return True, [[] for _ in range(cols)]
@@ -336,10 +334,10 @@ def check_identifiable_at(nds: NdsDefinition, phi0: SCMatrix) -> IdentReport:
 
 def _stacked_report(case, stacked, transposed, warnings) -> IdentReport:
     """The verdict of the stacked test; the null basis only when not fcr."""
-    fcr = stacked.is_fcr()
+    fcr, basis = _kernel(stacked.entries, stacked.cols)
     return IdentReport(case=case, verdict=_verdict(case, fcr),
                        stacked=stacked, transposed=transposed,
-                       null_basis=None if fcr else stacked.null_basis(),
+                       null_basis=None if fcr else basis,
                        warnings=warnings)
 
 

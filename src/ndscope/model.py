@@ -448,8 +448,6 @@ def _int_blocks(*blocks):
     widths = [len(m[0]) if m else 0 for m in blocks]
     rows, scales = ratmat._cleared(
         [[x for m in blocks for x in m[i]] for i in range(len(blocks[0]))])
-    if scales is None:
-        raise TypeError("entries must be ints or Fractions")
     out, c0 = [], 0
     for w in widths:
         out.append([row[c0:c0 + w] for row in rows])

@@ -25,9 +25,11 @@ previous pivot minor and leaves no remainder; a nonzero one is a bug and
 raises ``BrokenInvariant``.  ``det`` is the last forward pivot.
 ``solve`` ends Gauss-Jordan on [A | B] with pivot rows [0 .. d .. 0 |
 d X], d = +-det A, and forms one ``RatFun`` per entry of X.
-``RatFunMat.det``/``inverse`` and ``normal_rank`` run the same
-elimination over the field Q(s); ``smith_form`` keeps its own Euclidean
-reduction.
+``RatFunMat.det``/``inverse`` clear denominators, W = d M, and take
+det W / d^n and W^-1 (d I).  ``normal_rank`` eliminates forward only,
+over Q[s] for a ``PolyMat`` and over the field Q(s) for a ``RatFunMat``
+(the G_zu and G_yv it ranks are mostly vectors, whose field elimination
+does no arithmetic).  ``smith_form`` keeps its own Euclidean reduction.
 
 Decisions made by evaluating at rational points are exact only under a
 stated degree bound: a nonzero polynomial of degree <= r has at most r
@@ -42,7 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import truediv
 
 from . import ratmat
 
@@ -697,21 +700,25 @@ class RatFunMat(_GridMat):
                        [[e.num for e in row] for row in self.entries])
 
     def det(self) -> RatFun:
+        """det(W) / d^n with d, W from ``clear_denominators``."""
         if self.rows != self.cols:
             raise ShapeError("det of a non-square matrix")
-        return _as_ratfun(ratmat.det(self.entries))
+        d, w = self.clear_denominators()
+        return RatFun(w.det(), prod([d] * self.rows, start=P_ONE))
 
     def inverse(self) -> "RatFunMat":
+        """d W^-1 with d, W from ``clear_denominators``."""
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
-        return RatFunMat(self.rows, self.rows, ratmat.inv(self.entries))
+        d, w = self.clear_denominators()
+        return w.solve(PolyMat.diag([d] * self.rows))
 
 
 def normal_rank(m) -> int:
-    """Rank over the rational-function field, computed exactly."""
-    if isinstance(m, PolyMat):
-        m = m.to_ratfun()
-    return ratmat.rank(m.entries, cols=m.cols)
+    """Rank over the rational-function field (module docstring)."""
+    div = _exact_quotient if isinstance(m, PolyMat) else truediv
+    a = [row[:] for row in m.entries]
+    return len(ratmat._eliminate(a, m.cols, div, jordan=False)[0])
 
 
 def rank_at_point(m, x: Fraction) -> int:

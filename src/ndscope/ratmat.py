@@ -1,52 +1,53 @@
-"""Exact linear algebra on plain list-of-list matrices.
+"""Exact linear algebra over Q on plain list-of-list matrices.
 
-Matrices are sequences of rows.  Entries are ``int`` or
-``fractions.Fraction`` (the field Q), or elements of any other exact field
-that supports ``+ - * /`` and tests nonzero by truthiness, such as
-``polymat.RatFun`` (the field Q(s)).  Functions return fresh lists and
-never mutate their arguments.  Empty matrices (zero rows or zero columns)
-are legal everywhere; a matrix with zero rows must still carry its column
-count explicitly where it matters, hence the ``cols`` arguments on a few
-functions.
+Matrices are sequences of rows whose entries are ``int`` or
+``fractions.Fraction``; any other entry raises ``TypeError``.  Functions
+return fresh lists and never mutate their arguments.  Empty matrices
+(zero rows or zero columns) are legal everywhere; a matrix with zero rows
+must still carry its column count explicitly where it matters, hence the
+``cols`` arguments on a few functions.
 
-Over Q the arithmetic runs on Python integers, so that a gcd is taken
-once per output entry instead of once per add and multiply:
+The arithmetic runs on Python integers, so that a gcd is taken once per
+output entry instead of once per add and multiply:
 
 * Row clearing.  Each row is multiplied by the lcm of its denominators,
   which makes it a row of ints.  Scaling a row changes no pivot column,
   rank, null space or RREF; it scales the determinant by the row's
   factor, which ``det`` divides out at the end.
-* One elimination, ``_eliminate``: fraction-free (Bareiss) Gauss-Jordan.
-  With pivot ``piv``, the previous pivot ``prev`` (1 at the first step)
-  and ``f`` a row's entry in the pivot column, every non-pivot row
-  becomes (piv * row - f * pivot_row) / prev; a row with f = 0 is still
-  scaled by piv / prev.  Minor bound: after k pivots, with R the input
-  rows and C the input columns of those pivots, an entry (i, j) of a
-  non-pivot row is the (k+1)-minor of the input on rows R + {i} and
-  columns C + {j}, and an entry of the t-th pivot row is the k-minor on
-  rows R and columns C with the t-th of them replaced by j (Sylvester's
-  identity; Cramer's rule).  The divisor ``prev`` is the k-minor on R x C
-  before the step, so every division is exact, integers stay integers,
-  and no entry is larger than a minor of the input.  The forward-only
-  pass of ``det`` and ``rank`` updates only the rows below the pivot:
-  they follow the same (k+1)-minor rule, and a pivot row keeps the
-  minors it held when it became one, so the last pivot of a square
+* One elimination, ``_eliminate``: fraction-free (Bareiss, Math. Comp.
+  22, 1968) Gauss-Jordan.  With pivot ``piv``, the previous pivot
+  ``prev`` (1 at the first step) and ``f`` a row's entry in the pivot
+  column, every non-pivot row becomes (piv * row - f * pivot_row) / prev;
+  a row with f = 0 is still scaled by piv / prev.  Minor bound: after k
+  pivots, with R the input rows and C the input columns of those pivots,
+  an entry (i, j) of a non-pivot row is the (k+1)-minor of the input on
+  rows R + {i} and columns C + {j}, and an entry of the t-th pivot row is
+  the k-minor on rows R and columns C with the t-th of them replaced by
+  j (Sylvester's identity; Cramer's rule).  The divisor ``prev`` is the
+  k-minor on R x C before the step, so every division is exact, integers
+  stay integers, and no entry is larger than a minor of the input.  The
+  forward-only pass of ``det`` and ``rank`` updates only the rows below
+  the pivot: they follow the same (k+1)-minor rule, and a pivot row keeps
+  the minors it held when it became one, so the last pivot of a square
   matrix is its determinant up to the sign of the row swaps.  ``rref``
   ends by dividing each pivot row by its pivot: one Fraction
   normalization per output entry.
 * The division step is an argument, and the minor bound holds in any
-  integral domain: Q and Q(s) share one elimination, with field division
-  in place of exact integer division (``rref``, ``rank``, ``det``,
-  ``solve``, ``inv``, ``null_space``, ``left_null_space``), and
-  ``polymat`` runs it over Q[s] with an exact polynomial quotient.
+  integral domain.  Here it is exact integer division; ``model`` runs
+  ``_eliminate`` on its own int rows, and ``polymat`` runs it over Q[s]
+  with an exact polynomial quotient (``PolyMat.det``, ``PolyMat.solve``,
+  ``normal_rank``) and over Q(s) with field division (``normal_rank`` of
+  a ``RatFunMat``).
 * ``matmul`` clears the rows of ``a`` and the columns of ``b`` and forms
   c_ij = (sum_t A_it B_tj) / (da_i db_j): one gcd per output entry.
-* A one-sided full-rank certificate in ``rank``.  It first eliminates the
-  cleared integer rows modulo the prime p = 2^61 - 1.  A minor that is
-  nonzero mod p is nonzero over Z, so the rank mod p never exceeds the
-  rank over Q: when it equals min(rows, cols), full rank is proved
-  exactly.  A lower rank mod p proves nothing (p may divide every
-  maximal minor), and the exact elimination decides.
+* A one-sided full-rank certificate in ``rank`` and ``null_space``.  It
+  first eliminates the cleared integer rows modulo the prime
+  p = 2^61 - 1.  A minor that is nonzero mod p is nonzero over Z, so the
+  rank mod p never exceeds the rank over Q: when it equals
+  min(rows, cols), full rank is proved exactly, and ``null_space`` of a
+  matrix with at least as many rows as columns is then empty.  A lower
+  rank mod p proves nothing (p may divide every maximal minor), and the
+  exact elimination decides.
 * A certified solve, ``solve_certified``, after Dixon (Numer. Math. 40,
   1982): it solves the cleared system modulo the same p, lifts each
   entry of x to the unique n/d with |n|, d <= sqrt(p/2) that matches it
@@ -60,14 +61,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from operator import floordiv, mul, truediv
-
-Rat = Fraction
+from operator import floordiv, mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# the prime of the full-rank certificate in ``rank`` and of
+# the prime of the full-rank certificate (``rank``, ``null_space``) and of
 # ``solve_certified``, and the bound of its rational reconstruction
 _P = (1 << 61) - 1
 _LIFT = isqrt(_P // 2)
@@ -101,17 +100,14 @@ def scale(m, c):
 
 
 def _cleared(m):
-    """(rows, scales): copies of the rows of ``m`` and the row scales.
-
-    Over Q each row is multiplied by the lcm of its denominators, which
-    is its scale, and holds ints.  Over another field (any entry not an
-    int or a Fraction) the rows are plain copies and ``scales`` is None.
-    """
-    if all(isinstance(x, (int, Fraction)) for row in m for x in row):
+    """(rows, scales): each row of ``m`` times the lcm of its
+    denominators, which is its scale, as a fresh row of ints."""
+    try:
         scales = [lcm(*[x.denominator for x in row]) for row in m]
         return [[x.numerator * (s // x.denominator) for x in row]
                 for row, s in zip(m, scales)], scales
-    return [list(row) for row in m], None
+    except AttributeError:
+        raise TypeError("entries must be ints or Fractions") from None
 
 
 def _fraction(num, den):
@@ -125,8 +121,6 @@ def matmul(a, b, inner=None):
         raise ValueError("matmul: inner dimensions differ")
     a_int, da = _cleared(a)
     b_int, db = _cleared(transpose(b, cols=len(b[0]) if b else 0))
-    if da is None or db is None:
-        raise TypeError("matmul: entries must be ints or Fractions")
     return [[_fraction(sum(map(mul, row, col)), di * dj)
              for col, dj in zip(b_int, db)]
             for row, di in zip(a_int, da)]
@@ -184,16 +178,12 @@ def _eliminate(a, ncols, div, jordan):
 def rref(m, cols=None):
     """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
     ncols = len(m[0]) if m else (cols or 0)
-    a, scales = _cleared(m)
-    exact = scales is not None
-    div = floordiv if exact else truediv
-    pivots = _eliminate(a, ncols, div, jordan=True)[0]
+    a = _cleared(m)[0]
+    pivots = _eliminate(a, ncols, floordiv, jordan=True)[0]
     for r, c in enumerate(pivots):
         piv = a[r][c]
-        a[r] = ([_fraction(x, piv) for x in a[r]] if exact
-                else [x / piv for x in a[r]])
-    if exact:
-        a[len(pivots):] = zeros(len(a) - len(pivots), ncols)
+        a[r] = [_fraction(x, piv) for x in a[r]]
+    a[len(pivots):] = zeros(len(a) - len(pivots), ncols)
     return a, pivots
 
 
@@ -203,9 +193,10 @@ def _eliminate_mod_p(a, ncols, jordan):
 
     Each pivot row is scaled to pivot 1.  Forward-only, it stops as soon
     as that rank is reached or out of reach, which is the full-rank
-    certificate of ``rank`` (module docstring).  ``jordan`` clears above
-    the pivots too: on a square system with its right-hand sides
-    appended, the reduced rows end with the solution mod ``_P``.
+    certificate of ``rank`` and ``null_space`` (module docstring).
+    ``jordan`` clears above the pivots too: on a square system with its
+    right-hand sides appended, the reduced rows end with the solution mod
+    ``_P``.
     """
     red = [[x % _P for x in row] for row in a]
     nrows = len(red)
@@ -232,12 +223,10 @@ def _eliminate_mod_p(a, ncols, jordan):
 
 def rank(m, cols=None):
     ncols = len(m[0]) if m else (cols or 0)
-    a, scales = _cleared(m)
-    exact = scales is not None
-    if exact and _eliminate_mod_p(a, ncols, jordan=False) is not None:
+    a = _cleared(m)[0]
+    if _eliminate_mod_p(a, ncols, jordan=False) is not None:
         return min(len(a), ncols)
-    div = floordiv if exact else truediv
-    return len(_eliminate(a, ncols, div, jordan=False)[0])
+    return len(_eliminate(a, ncols, floordiv, jordan=False)[0])
 
 
 def null_space(m, cols=None):
@@ -245,25 +234,24 @@ def null_space(m, cols=None):
 
     The basis is in reduced column echelon form with the first nonzero
     entry of every column equal to 1.  Returns a ``cols x d`` matrix
-    (a list of ``cols`` rows) where d may be zero.
+    (a list of ``cols`` rows) where d may be zero, without an exact
+    elimination when the full-rank certificate holds (module docstring).
     """
     ncols = len(m[0]) if m else (cols or 0)
+    if len(m) >= ncols and \
+            _eliminate_mod_p(_cleared(m)[0], ncols, jordan=False) is not None:
+        return [[] for _ in range(ncols)]
     r, pivots = rref(m, cols=ncols)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [ZERO] * ncols
         v[fc] = ONE
         for i, pc in enumerate(pivots):
             v[pc] = -r[i][fc]
         basis.append(v)
-    if not basis:
-        return [[] for _ in range(ncols)]
-    canon, _ = rref(basis)
-    canon = [row for row in canon if any(x != 0 for x in row)]
-    out = transpose(canon, cols=ncols)
-    # rref rows lead with 1, so every column already starts with 1
-    return out
+    # the vectors are independent, so the rref has no zero row, and its
+    # rows lead with 1, so every column of the basis starts with 1
+    return transpose(rref(basis, cols=ncols)[0], cols=ncols)
 
 
 def left_null_space(m, cols=None):
@@ -279,14 +267,10 @@ def det(m):
     if n == 0:
         return ONE
     a, scales = _cleared(m)
-    div = floordiv if scales is not None else truediv
-    pivots, sign = _eliminate(a, n, div, jordan=False)
+    pivots, sign = _eliminate(a, n, floordiv, jordan=False)
     if len(pivots) < n:
         return ZERO
-    last = a[-1][-1]
-    if scales is not None:
-        return Fraction(sign * last, prod(scales))
-    return -last if sign < 0 else last
+    return Fraction(sign * a[-1][-1], prod(scales))
 
 
 class SingularMatrixError(ArithmeticError):
@@ -324,9 +308,7 @@ def solve_certified(a, b):
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("solve: matrix not square")
-    rows, scales = _cleared([list(ra) + list(rb) for ra, rb in zip(a, b)])
-    if scales is None:
-        return solve(a, b)
+    rows = _cleared([list(ra) + list(rb) for ra, rb in zip(a, b)])[0]
     red = _eliminate_mod_p(rows, n, jordan=True)
     if red is None:
         return solve(a, b)

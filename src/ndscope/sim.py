@@ -95,6 +95,8 @@ REAL_EIG_TOL = 1e-6
 MAX_SAMPLES = 2_000_000
 # block length L of the simulation kernel (module docstring)
 _BLOCK = 32
+# points of the frequency grid of ``hinf_norm`` (module docstring)
+_GRID = 2000
 
 
 class NoConvergence(ArithmeticError):
@@ -569,8 +571,8 @@ def sigma_max(diff: RatFunMat, points: np.ndarray) -> np.ndarray:
     return _sigma_max(freq_response(diff, points))
 
 
-def distance_freq(nds: NdsDefinition, phi1: SCMatrix, phi2: SCMatrix,
-                  grid: int = 2000) -> float:
+def distance_freq(nds: NdsDefinition, phi1: SCMatrix,
+                  phi2: SCMatrix) -> float:
     """H-infinity norm of the exact transfer matrix difference.
 
     The rational difference is computed exactly first, so equal transfer
@@ -580,28 +582,36 @@ def distance_freq(nds: NdsDefinition, phi1: SCMatrix, phi2: SCMatrix,
     """
     h1, h2 = (screen(nds, phi).require("the NDS at one of the SCMs").tfm
               for phi in (phi1, phi2))
-    return hinf_norm(h1 - h2, nds.time_domain, grid)
+    return hinf_norm(h1 - h2, nds.time_domain)
 
 
-def hinf_norm(diff: RatFunMat, domain: str = "continuous",
-              grid: int = 2000) -> float:
+def hinf_norm(diff: RatFunMat, domain: str = "continuous") -> float:
     """Supremum of the largest singular value of an exact rational matrix
-    over the frequency axis (imaginary axis or unit circle)."""
+    over the frequency axis (imaginary axis or unit circle).
+
+    A pole on a grid point (1/s at w = 0, 1/(z - 1) at z = 1) gives
+    ``math.inf``.  A pole on the axis between grid points still gives a
+    large finite value: 1/(s^2 + 4) gives 9.95e9.  ``screen`` rejects such
+    systems before any distance; an exact test of the axis is not made.
+    """
     if diff.is_zero:
         return 0.0
     if domain == "continuous":
         def pts(ts):
             return 1j * ts
-        ts = np.concatenate(([0.0], np.logspace(-3.0, 3.0, grid)))
+        ts = np.concatenate(([0.0], np.logspace(-3.0, 3.0, _GRID)))
     else:
         def pts(ts):
             return np.exp(1j * ts)
-        ts = np.linspace(0.0, math.pi, grid)
+        ts = np.linspace(0.0, math.pi, _GRID)
     table = _coeff_table(diff)
 
     def sig(ts):
         return _sigma_max(_response(table, pts(ts), diff.rows, diff.cols))
-    vals = sig(ts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = sig(ts)
+    if not np.isfinite(vals).all():
+        return math.inf
     k = int(np.argmax(vals))
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, len(ts) - 1)]

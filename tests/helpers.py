@@ -342,13 +342,17 @@ def euclid_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def field_poly_solve(den: PolyMat, b: PolyMat) -> RatFunMat:
-    """den^-1 b by the inverse over the field Q(s)."""
-    return den.to_ratfun().inverse() @ b.to_ratfun()
+    """den^-1 b by the textbook inverse over the field Q(s)."""
+    inv = field_inv(den.to_ratfun().entries)
+    if inv is None:
+        raise rm.SingularMatrixError("matrix is singular")
+    return RatFunMat(den.rows, den.rows, inv) @ b.to_ratfun()
 
 
 def field_poly_det(m: PolyMat) -> Poly:
-    """det over the field Q(s); it must be a polynomial."""
-    d = m.to_ratfun().det()
+    """det by textbook elimination over the field Q(s); it must be a
+    polynomial."""
+    d = RatFun.const(1) * field_det(m.to_ratfun().entries)
     assert d.is_polynomial
     return d.num
 

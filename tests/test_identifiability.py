@@ -194,6 +194,39 @@ class TestStacked:
         assert st.rows == 0 and st.is_fcr()
 
 
+class TestOneKernelDecision:
+    """The stacked test decides full column rank and the null basis by one
+    ``null_space``: an identifiable stacked matrix is certified without an
+    exact elimination, and a not-identifiable one costs the two of its
+    null basis (the RREF of the matrix and of the basis), with no rank
+    decision before them."""
+
+    @staticmethod
+    def _network(which):
+        if which == "dense":
+            rng = random.Random(0)
+            nds = rand_nds(rng, "a3")
+            return nds, rand_wellposed_scm(rng, nds)
+        return _demo_chain(int(which[-1]), random.Random(int(which[-1])))
+
+    @pytest.mark.parametrize("which,verdict,eliminations", [
+        ("chain2", NOT_IDENTIFIABLE, 2), ("chain4", NOT_IDENTIFIABLE, 2),
+        ("dense", IDENTIFIABLE, 0)])
+    def test_exact_eliminations_per_stacked_matrix(
+            self, which, verdict, eliminations, monkeypatch):
+        import ndscope.identifiability as ident
+        rep = check_identifiable_at(*self._network(which))
+        assert rep.verdict == verdict and rep.stacked.rows >= rep.stacked.cols
+        calls = []
+        monkeypatch.setattr(rm, "_eliminate", lambda *args, _f=rm._eliminate,
+                            **kwargs: calls.append(1) or _f(*args, **kwargs))
+        again = ident._stacked_report(rep.case, rep.stacked, rep.transposed,
+                                      rep.warnings)
+        assert len(calls) == eliminations
+        assert again == rep
+        assert rep.stacked.is_fcr() == (verdict == IDENTIFIABLE)
+
+
 class TestVerdicts:
     def test_fixture_not_identifiable(self):
         rep = check_identifiable_at(demo_nds(), PHI0)

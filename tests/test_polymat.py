@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction as F
 
@@ -5,8 +6,9 @@ import pytest
 
 import ndscope.ratmat as rm
 from helpers import (
-    euclid_gcd, field_poly_det, field_poly_solve, fraction_mul, rand_poly,
-    rand_polymat, rand_ratfunmat, rand_unimodular,
+    euclid_gcd, field_det, field_inv, field_poly_det, field_poly_solve,
+    field_rank, fraction_mul, rand_poly, rand_polymat, rand_ratfunmat,
+    rand_unimodular,
 )
 from ndscope.polymat import (
     NEG_INF, BrokenInvariant, NotUnimodular, Poly, PolyMat, RatFun, RatFunMat, S,
@@ -256,6 +258,60 @@ class TestNormalRank:
                     break
             # the bad set is finite, five random draws must land outside
             assert hit
+
+
+class TestOverRationalFunctions:
+    """RatFunMat.det and inverse, which clear denominators and eliminate
+    over Q[s], and normal_rank, over Q[s] for a PolyMat and over Q(s) for
+    a RatFunMat, against the textbook field elimination over Q(s)."""
+
+    @staticmethod
+    def _inputs(rng, rows, cols):
+        """A RatFunMat whose entries have two denominators, and a PolyMat,
+        each with a repeated row in about a third of the draws."""
+        one = rand_ratfunmat(rng, rows, cols).entries
+        two = rand_ratfunmat(rng, rows, cols, den_deg=1).entries
+        mats = [RatFunMat(rows, cols, [
+                    [y if rng.random() < 0.4 else x for x, y in zip(rx, ry)]
+                    for rx, ry in zip(one, two)]),
+                rand_polymat(rng, rows, cols)]
+        for m in mats:
+            if rows > 1 and rng.random() < 0.3:
+                m.entries[-1] = list(m.entries[0])
+        return mats
+
+    def test_det_inverse_normal_rank(self):
+        rng = random.Random(29)
+        for n in [0] + [rng.randint(1, 3) for _ in range(15)]:
+            for m in self._inputs(rng, n, n):
+                q = m.to_ratfun() if isinstance(m, PolyMat) else m
+                before = copy.deepcopy((m.entries, q.entries))
+                assert normal_rank(m) == field_rank(q.entries, n)
+                assert q.det() == field_det(q.entries)
+                want = field_inv(q.entries)
+                if want is None:
+                    with pytest.raises(rm.SingularMatrixError):
+                        q.inverse()
+                else:
+                    assert q.inverse() == RatFunMat(n, n, want)
+                assert (m.entries, q.entries) == before
+
+    def test_normal_rank_non_square(self):
+        rng = random.Random(31)
+        for rows, cols in ((2, 4), (3, 2), (1, 3), (0, 3), (3, 0)):
+            for m in self._inputs(rng, rows, cols):
+                q = m.to_ratfun() if isinstance(m, PolyMat) else m
+                before = copy.deepcopy(m.entries)
+                assert normal_rank(m) == field_rank(q.entries, cols)
+                assert m.entries == before
+
+    def test_singular_raises(self):
+        col = [RatFun(P(1), P(1, 1)), RatFun(P(2), P(1, 1))]
+        m = RatFunMat(2, 2, [[col[0], RatFun(P(3))], [col[1], RatFun(P(6))]])
+        assert m.det() == 0 == field_det(m.entries)
+        assert normal_rank(m) == 1
+        with pytest.raises(rm.SingularMatrixError):
+            m.inverse()
 
 
 class TestSmithForm:

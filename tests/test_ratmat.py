@@ -9,8 +9,9 @@ import pytest
 import ndscope.ratmat as rm
 from helpers import (
     field_det, field_inv, field_left_null_space, field_matmul,
-    field_null_space, field_rank, field_rref, field_solve, rand_ratfunmat,
+    field_null_space, field_rank, field_rref, field_solve,
 )
+from ndscope.polymat import RatFun
 
 P = 2 ** 61 - 1
 
@@ -156,43 +157,36 @@ class TestAgainstOracle:
         assert rm.det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
 
 
-class TestOverRationalFunctions:
-    def test_rref_det_inv(self):
-        rng = random.Random(29)
-        for _ in range(12):
-            n = rng.randint(1, 3)
-            m = rand_ratfunmat(rng, n, n).entries
-            if n > 1 and rng.random() < 0.3:
-                m[-1] = list(m[0])
-            before = copy.deepcopy(m)
-            assert rm.rref(m) == field_rref(m)
-            assert rm.rank(m) == field_rank(m)
-            assert rm.det(m) == field_det(m)
-            want = field_inv(m)
-            if want is None:
-                with pytest.raises(rm.SingularMatrixError):
-                    rm.inv(m)
-            else:
-                assert rm.inv(m) == want
-            assert m == before
+class TestEntryTypes:
+    """Entries are ints and Fractions; any other entry is a TypeError."""
 
-    def test_wide_rref(self):
-        rng = random.Random(31)
-        for rows, cols in ((2, 4), (3, 2)):
-            m = rand_ratfunmat(rng, rows, cols).entries
-            assert rm.rref(m) == field_rref(m)
+    @pytest.mark.parametrize("bad", [RatFun.const(1), 0.5])
+    def test_other_entries_raise_type_error(self, bad):
+        m = [[F(1), bad], [F(2), F(3)]]
+        for fn in (rm.rref, rm.rank, rm.null_space, rm.left_null_space,
+                   rm.det, rm.inv, lambda a: rm.solve(a, a),
+                   lambda a: rm.solve_certified(a, a),
+                   lambda a: rm.matmul(a, [[1], [1]]),
+                   lambda a: rm.matmul([[1, 1]], a)):
+            with pytest.raises(TypeError):
+                fn(m)
+
+
+# matrices whose rank drops modulo the certificate's prime, and their rank
+RANK_DROPS = [
+    ([[P]], 1),
+    ([[1, 1], [1, 1 + P]], 2),
+    ([[F(P, 3), F(2 * P, 5)]], 1),
+    ([[P], [2 * P], [F(P, 7)]], 1),
+    ([[1, 2, 3], [2, 4, 6 + P]], 2),
+]
 
 
 class TestFullRankCertificate:
-    """Matrices whose rank drops modulo the certificate's prime."""
+    """The certificate proves full rank modulo its prime, and the exact
+    elimination decides where the rank drops modulo that prime."""
 
-    @pytest.mark.parametrize("m,want", [
-        ([[P]], 1),
-        ([[1, 1], [1, 1 + P]], 2),
-        ([[F(P, 3), F(2 * P, 5)]], 1),
-        ([[P], [2 * P], [F(P, 7)]], 1),
-        ([[1, 2, 3], [2, 4, 6 + P]], 2),
-    ])
+    @pytest.mark.parametrize("m,want", RANK_DROPS)
     def test_exact_rank_where_mod_p_rank_drops(self, m, want):
         ints, _ = rm._cleared(m)
         assert rm._eliminate_mod_p(ints, len(m[0]), jordan=False) is None
@@ -209,6 +203,20 @@ class TestFullRankCertificate:
             ints, _ = rm._cleared(m)
             assert rm._eliminate_mod_p(ints, cols, jordan=False) is not None
             assert rm.rank(m) == min(rows, cols)
+
+    def test_null_space_certificate(self, monkeypatch):
+        rng = random.Random(39)
+        full = [rand_matrix(rng, rows, cols, density=1.0, bits=200)
+                for rows, cols in ((6, 3), (5, 5), (4, 1))]
+
+        def no_rref(*args, **kwargs):
+            raise AssertionError("rref called")
+        with monkeypatch.context() as mp:
+            mp.setattr(rm, "rref", no_rref)
+            for m in full:
+                assert rm.null_space(m) == [[] for _ in m[0]]
+        for m, _ in RANK_DROPS:
+            assert rm.null_space(m) == field_null_space(m)
 
 
 class TestCertifiedSolve:

@@ -572,6 +572,22 @@ class TestFrequencyKernels:
         want = float(np.max(np.abs(1.0 / (z * z - z + 0.9801))))
         assert want * (1 - 1e-6) <= got <= want * (1 + 1e-8)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("den,domain", [
+        ((0, 1), "continuous"),         # 1/s: a pole at w = 0
+        ((-1, 1), "discrete"),          # 1/(z - 1): a pole at z = 1
+    ])
+    def test_hinf_pole_on_grid_point_is_inf(self, den, domain):
+        diff = RatFunMat(1, 2, [[_rf((1,), den), _rf((1,), (2, 1))]])
+        assert hinf_norm(diff, domain) == math.inf
+        assert hinf_norm(RatFunMat(1, 1, [diff.entries[0][:1]]),
+                         domain) == math.inf
+
+    def test_hinf_pole_between_grid_points_is_finite(self):
+        # 1/(s^2 + 4): the pole at w = 2 falls between grid points
+        got = hinf_norm(RatFunMat(1, 1, [[_rf((1,), (4, 0, 1))]]))
+        assert 1e9 < got < math.inf
+
     def test_no_lapack_below_three(self, monkeypatch):
         """k = min(m_y, m_u) <= 2 takes the closed form; k = 3 still
         reaches the batched SVD."""
