@@ -222,7 +222,10 @@ def _load_lumped(path, nds) -> LumpedModel:
         name = f"lumped {key}"
         parsed[key + "_hat"] = _parse_matrix(
             _rows(doc[key], name), nds.total(r), nds.total(c), name)
-    return LumpedModel(E_hat=ratmat.freeze(nds.block("E")), **parsed)
+    # E is optional; the consistency test checks a given one against the NDS
+    e = _parse_matrix(_rows(doc["E"], "lumped E"), nds.m_x, nds.m_x,
+                      "lumped E") if "E" in doc else nds.block("E")
+    return LumpedModel(E_hat=ratmat.freeze(e), **parsed)
 
 
 def cmd_reconstruct(args) -> int:

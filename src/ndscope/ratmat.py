@@ -55,6 +55,8 @@ output entry instead of once per add and multiply:
   and proves a x = b by one exact ``matmul``.  A matrix singular
   mod p, an entry without such a lift or a failed product sends it to
   ``solve``, so its result is always ``solve``'s.
+* ``null_space`` clears its rows once, for the certificate and its RREF.
+  ``freeze`` keeps a Fraction entry, which is immutable, as it is.
 """
 
 from __future__ import annotations
@@ -238,16 +240,17 @@ def null_space(m, cols=None):
     elimination when the full-rank certificate holds (module docstring).
     """
     ncols = len(m[0]) if m else (cols or 0)
-    if len(m) >= ncols and \
-            _eliminate_mod_p(_cleared(m)[0], ncols, jordan=False) is not None:
+    a = _cleared(m)[0]
+    if len(a) >= ncols and \
+            _eliminate_mod_p(a, ncols, jordan=False) is not None:
         return [[] for _ in range(ncols)]
-    r, pivots = rref(m, cols=ncols)
+    pivots = _eliminate(a, ncols, floordiv, jordan=True)[0]
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [ZERO] * ncols
         v[fc] = ONE
         for i, pc in enumerate(pivots):
-            v[pc] = -r[i][fc]
+            v[pc] = _fraction(-a[i][fc], a[i][pc])
         basis.append(v)
     # the vectors are independent, so the rref has no zero row, and its
     # rows lead with 1, so every column of the basis starts with 1
@@ -328,7 +331,8 @@ def to_float(m):
 
 
 def freeze(m):
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
+    return tuple(tuple(x if type(x) is Fraction else Fraction(x)
+                       for x in row) for row in m)
 
 
 def thaw(m):

@@ -22,12 +22,19 @@ and base is nonzero only on the R_i x C_i.  Hence:
   with K_i_perp a left and L_j_perp a right null basis.
 * Over Q, K_i^T K_i is singular iff K_i is not FCR, and L_j L_j^T iff
   L_j is not FRR: the solves that form K_i^+ and L_j^+ decide that.
+
+Both passes form every block product on cleared int rows (``ratmat``),
+with E_d's rows cleared once, and build one Fraction per entry they
+return; base_i enters ``lump`` inside those Fractions, and a row scale
+keeps the zero sums of cond_left and cond_right zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+from itertools import accumulate
+from math import lcm
+from operator import mul, sub
 
 from . import ratmat
 from .model import (
@@ -97,40 +104,36 @@ def _ports(nds: NdsDefinition):
     return out
 
 
-def _block_left(terms, m, nrows):
-    """P m for a P that is block-diagonal up to permutations, given as
-    (P_i, src_i, dst_i): rows dst_i of P m are P_i m[src_i, :]."""
-    out = [None] * nrows
-    for p, src, dst in terms:
-        block = ratmat.matmul(p, [m[r] for r in src], inner=len(src))
-        for r, row in zip(dst, block):
-            out[r] = row
-    return out
+def _spans(sizes):
+    """(start, stop) of consecutive blocks of the given sizes."""
+    ends = list(accumulate(sizes))
+    return list(zip([0] + ends, ends))
 
 
-def _block_right(m, terms, ncols):
-    """m Q for such a Q given as (Q_j, src_j, dst_j): columns dst_j of
-    m Q are m[:, src_j] Q_j."""
-    t = [(ratmat.transpose(q), src, dst) for q, src, dst in terms]
-    return ratmat.transpose(_block_left(t, ratmat.transpose(m), ncols),
-                            cols=len(m))
+def _base(sub) -> list:
+    return ratmat.vstack(ratmat.hstack(sub.A_xx, sub.B_xu),
+                         ratmat.hstack(sub.C_yx, sub.D_yu))
 
 
-def _shift_base(ports, m, op):
-    """m[R_i, C_i] = op(m[R_i, C_i], base_i) in place for every subsystem,
-    with base_i = [A_xx_i B_xu_i; C_yx_i D_yu_i]."""
-    for s, rows, cols, _, _ in ports:
-        base = ratmat.vstack(ratmat.hstack(s.A_xx, s.B_xu),
-                             ratmat.hstack(s.C_yx, s.D_yu))
-        for r, brow in zip(rows, base):
-            row = m[r]
-            for c, x in zip(cols, brow):
-                row[c] = op(row[c], x)
+def _common(rows, scales):
+    """(int columns, scale) of the rows rows[t] / scales[t], one scale."""
+    d = lcm(*scales)
+    return list(zip(*[row if e == d else [x * (d // e) for x in row]
+                      for row, e in zip(rows, scales)])), d
 
 
-def _times_d_zv(nds, ports, m):
-    return _block_right(m, [(s.D_zv, z, v) for s, _, _, v, z in ports],
-                        nds.m_v)
+def _entries(rows, row_den, cols, col_den, base=None):
+    """One Fraction per entry of rows . cols / (row_den col_den) + base,
+    for int rows and the cleared int columns of the right factor."""
+    if base is None:
+        return [[ratmat._fraction(sum(map(mul, row, col)), d * e)
+                 for col, e in zip(cols, col_den)]
+                for row, d in zip(rows, row_den)]
+    return [[ratmat._fraction(
+                sum(map(mul, row, col)) * b.denominator + b.numerator * d * e,
+                d * e * b.denominator)
+             for col, e, b in zip(cols, col_den, brow)]
+            for row, d, brow in zip(rows, row_den, base)]
 
 
 def lump(nds: NdsDefinition, phi: SCMatrix) -> LumpedModel:
@@ -140,25 +143,31 @@ def lump(nds: NdsDefinition, phi: SCMatrix) -> LumpedModel:
     phi.check_shape(nds)
     ports = _ports(nds)
     w = ratmat.sub(ratmat.identity(nds.m_v),
-                   _times_d_zv(nds, ports, phi.as_lists()))
+                   ratmat.matmul(phi.entries, nds.block("D_zv")))
     try:
         gain = ratmat.solve(w, phi.as_lists())     # (I - Phi D_zv)^-1 Phi
     except ratmat.SingularMatrixError as exc:
         raise NotWellPosed("I - Phi D_zv is singular") from exc
-    m_x, m_u = nds.m_x, nds.m_u
-    k_gain = _block_left([(_k_matrix(s), v, rows)
-                          for s, rows, _, v, _ in ports],
-                         gain, m_x + nds.m_y)
-    full = _block_right(k_gain, [(_l_matrix(s), z, cols)
-                                 for s, _, cols, _, z in ports], m_x + m_u)
-    _shift_base(ports, full, add)
-    return LumpedModel(
-        E_hat=ratmat.freeze(nds.block("E")),
-        A_hat=ratmat.freeze([row[:m_x] for row in full[:m_x]]),
-        B_hat=ratmat.freeze([row[m_x:] for row in full[:m_x]]),
-        C_hat=ratmat.freeze([row[:m_x] for row in full[m_x:]]),
-        D_hat=ratmat.freeze([row[m_x:] for row in full[m_x:]]),
-    )
+    g, g_den = ratmat._cleared(gain)
+    l_cols = [ratmat._cleared(ratmat.transpose(_l_matrix(s)))
+              for s, *_ in ports]
+    n_x = [s.n_x for s in nds.subsystems]
+    top, bottom = [], []       # rows of [A B] and [C D] split at m_x
+    for i, (s, _, _, v, _) in enumerate(ports):
+        g_i, d = _common(g[v.start:v.stop], g_den[v.start:v.stop])
+        k, k_den = ratmat._cleared(_k_matrix(s))
+        kg = [[sum(map(mul, row, col)) for col in g_i] for row in k]
+        blocks = [_entries([row[z.start:z.stop] for row in kg],
+                           [x * d for x in k_den], *l,
+                           _base(s) if j == i else None)
+                  for j, ((*_, z), l) in enumerate(zip(ports, l_cols))]
+        for r, row in enumerate(zip(*blocks)):
+            (top if r < n_x[i] else bottom).append(
+                ([x for n, b in zip(n_x, row) for x in b[:n]],
+                 [x for n, b in zip(n_x, row) for x in b[n:]]))
+    return LumpedModel(*(ratmat.freeze(m) for m in (
+        nds.block("E"), [a for a, _ in top], [b for _, b in top],
+        [c for c, _ in bottom], [d for _, d in bottom])))
 
 
 def lump_descriptor(nds: NdsDefinition, phi: SCMatrix) -> LumpedModel:
@@ -198,17 +207,26 @@ def check_reconstructible(nds: NdsDefinition) -> ReconReport:
 
 
 def _model_deviation(nds: NdsDefinition, model: LumpedModel, ports):
-    """E_d = [A B; C D] - base, after a shape check of every row."""
+    """(E_d, spans of the C_j): E_d = [A B; C D] - base with its rows and
+    columns in block order (R_1, R_2, ... and C_1, C_2, ...), after a
+    shape check of every row."""
     for name, (r, c) in LUMPED_SHAPES.items():
         rows, cols = nds.total(r), nds.total(c)
         m = getattr(model, name + "_hat")
         if len(m) != rows or any(len(row) != cols for row in m):
             raise ShapeError(
                 f"lumped {name} must be {rows}x{cols} to match the NDS")
-    e_d = [list(ra) + list(rb) for ra, rb in zip(model.A_hat, model.B_hat)]
-    e_d += [list(rc) + list(rd) for rc, rd in zip(model.C_hat, model.D_hat)]
-    _shift_base(ports, e_d, sub)
-    return e_d
+    full = [list(ra) + list(rb) for ra, rb in zip(model.A_hat, model.B_hat)]
+    full += [list(rc) + list(rd) for rc, rd in zip(model.C_hat, model.D_hat)]
+    order = [c for _, _, cols, _, _ in ports for c in cols]
+    col_spans = _spans(len(cols) for _, _, cols, _, _ in ports)
+    e_d = []
+    for (s, rows, _, _, _), (c0, c1) in zip(ports, col_spans):
+        for r, brow in zip(rows, _base(s)):
+            row = list(map(full[r].__getitem__, order))
+            row[c0:c1] = map(sub, row[c0:c1], brow)
+            e_d.append(row)
+    return e_d, col_spans
 
 
 def _gram_solve(m):
@@ -223,27 +241,39 @@ def _gram_solve(m):
 
 def _consistency(nds: NdsDefinition, model: LumpedModel):
     """(ConsistencyReport, W): the one consistency pass behind
-    ``check_consistency`` and ``recover_scm``."""
+    ``check_consistency`` and ``recover_scm`` (module docstring)."""
     ports = _ports(nds)
-    # L_j^+ is the transpose of (L_j L_j^T)^-1 L_j
-    k_plus = [(_gram_solve(ratmat.transpose(_k_matrix(s))), rows, v)
-              for s, rows, _, v, _ in ports]
-    l_plus = [(ratmat.transpose(_gram_solve(_l_matrix(s))), cols, z)
-              for s, _, cols, _, z in ports]
+    k_plus = [_gram_solve(ratmat.transpose(_k_matrix(s))) for s, *_ in ports]
+    # the cleared columns of L_j^+, the rows of (L_j L_j^T)^-1 L_j
+    l_plus = [ratmat._cleared(_gram_solve(_l_matrix(s))) for s, *_ in ports]
     if ratmat.thaw(model.E_hat) != nds.block("E"):
         raise ShapeError("lumped E must equal the block-diagonal E exactly")
-    e_d = _model_deviation(nds, model, ports)
-    e_t = ratmat.transpose(e_d)
-    cond_left = all(ratmat.is_zero(ratmat.matmul(
-        ratmat.left_null_space(_k_matrix(s), cols=s.n_v),
-        [e_d[r] for r in rows], inner=len(rows)))
-        for s, rows, _, _, _ in ports)
-    cond_right = all(ratmat.is_zero(ratmat.matmul(
-        ratmat.transpose(ratmat.null_space(_l_matrix(s))),
-        [e_t[c] for c in cols], inner=len(cols)))
-        for s, _, cols, _, _ in ports)
-    h_m = _block_right(_block_left(k_plus, e_d, nds.m_v), l_plus, nds.m_z)
-    w = ratmat.add(ratmat.identity(nds.m_v), _times_d_zv(nds, ports, h_m))
+    e_d, col_spans = _model_deviation(nds, model, ports)
+    e, e_den = ratmat._cleared(e_d)
+    cond_left = cond_right = True
+    h_m = []
+    for (s, *_), (r0, r1), (c0, c1), kp in zip(
+            ports, _spans(len(rows) for _, rows, _, _, _ in ports),
+            col_spans, k_plus):
+        cols, d = _common(e[r0:r1], e_den[r0:r1])    # of E_d[R_i, :]
+        if cond_left:
+            k_perp = ratmat._cleared(
+                ratmat.left_null_space(_k_matrix(s), cols=s.n_v))[0]
+            cond_left = not any(sum(map(mul, y, col))
+                                for y in k_perp for col in cols)
+        if cond_right:     # a row scale of E_d keeps a zero sum zero
+            l_perp = ratmat._cleared(ratmat.transpose(
+                ratmat.null_space(_l_matrix(s))))[0]
+            cond_right = not any(sum(map(mul, seg, x))
+                                 for seg in (row[c0:c1] for row in e)
+                                 for x in l_perp)
+        p, p_den = ratmat._cleared(kp)
+        pe = [[sum(map(mul, row, col)) for col in cols] for row in p]
+        blocks = [_entries([row[a:b] for row in pe], [x * d for x in p_den],
+                           *l) for (a, b), l in zip(col_spans, l_plus)]
+        h_m += [[x for block in row for x in block] for row in zip(*blocks)]
+    w = ratmat.add(ratmat.identity(nds.m_v),
+                   ratmat.matmul(h_m, nds.block("D_zv")))
     # cond_hm and uniqueness are both rank W = m_v (ConsistencyReport)
     unique = ratmat.rank(w) == nds.m_v
     report = ConsistencyReport(

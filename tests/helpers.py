@@ -11,11 +11,12 @@ import ndscope.ratmat as rm
 from ndscope import sim
 from ndscope.identifiability import classify_case
 from ndscope.model import (
-    NdsDefinition, NotRegular, SCMatrix, SubsystemRealization, SubsystemTfms,
-    check_nds_regular, check_subsystem_regular, check_well_posed,
+    NdsDefinition, NotRegular, NotWellPosed, SCMatrix, SubsystemRealization,
+    SubsystemTfms, check_nds_regular, check_subsystem_regular,
+    check_well_posed,
 )
 from ndscope.polymat import Poly, PolyMat, RatFun, RatFunMat
-from ndscope.reconstruction import check_reconstructible
+from ndscope.reconstruction import LumpedModel, check_reconstructible
 
 
 def rand_fraction(rng, lo=-3, hi=3, den=4) -> Fraction:
@@ -357,10 +358,34 @@ def field_poly_det(m: PolyMat) -> Poly:
     return d.num
 
 
-# ------------------------------------------------- recovery oracle
-# The dense route that ndscope.reconstruction replaced with subsystem
-# blocks: the stacked K and L, two explicit inverses, null spaces of the
-# whole K and L and one elimination of [W | H_m].
+# ------------------------------------------------- recovery oracles
+# The dense routes that ndscope.reconstruction replaced with subsystem
+# blocks on int rows: the stacked K and L, field products and solves,
+# two explicit inverses, null spaces of the whole K and L and one
+# elimination of [W | H_m].
+
+
+def dense_lump(nds, phi):
+    """The LumpedModel base + K (I - Phi D_zv)^-1 Phi L by the textbook
+    field routines; NotWellPosed when I - Phi D_zv is singular."""
+    k = rm.vstack(nds.block("B_xv"), nds.block("D_yv"))
+    latch = rm.hstack(nds.block("C_zx"), nds.block("D_zu"))
+    base = rm.vstack(rm.hstack(nds.block("A_xx"), nds.block("B_xu")),
+                     rm.hstack(nds.block("C_yx"), nds.block("D_yu")))
+    w = rm.sub(rm.identity(nds.m_v),
+               field_matmul(phi.as_lists(), nds.block("D_zv")))
+    gain = field_solve(w, phi.as_lists())
+    if gain is None:
+        raise NotWellPosed("I - Phi D_zv is singular")
+    full = rm.add(base, field_matmul(field_matmul(k, gain), latch))
+    m_x = nds.m_x
+
+    def part(rows, lo, hi):
+        return tuple(tuple(row[lo:hi]) for row in rows)
+    return LumpedModel(
+        E_hat=part(nds.block("E"), 0, m_x),
+        A_hat=part(full[:m_x], 0, m_x), B_hat=part(full[:m_x], m_x, None),
+        C_hat=part(full[m_x:], 0, m_x), D_hat=part(full[m_x:], m_x, None))
 
 
 def dense_consistency(nds, model):

@@ -328,6 +328,43 @@ class TestReconstructAndLump:
         assert doc["result"]["scm"] == [["0", "0"], ["0", "0"],
                                         ["0", "0"], ["2", "0"]]
 
+    @pytest.mark.parametrize("with_e", [True, False], ids=["E", "no E"])
+    def test_lump_artifact_with_or_without_e(self, model_path, tmp_path,
+                                              schema, with_e):
+        out_dir = tmp_path / "art"
+        run_json(["lump", model_path, "--scm", PHI_EQ_INLINE,
+                  "--out-dir", str(out_dir)], schema)
+        lumped = json.loads((out_dir / "lumped.json").read_text())
+        assert "E" in lumped
+        if not with_e:
+            del lumped["E"]
+        lpath = tmp_path / "lumped.json"
+        lpath.write_text(json.dumps(lumped))
+        code, doc = run_json(["reconstruct", model_path, "--lumped",
+                              str(lpath), "--strict"], schema)
+        assert code == 0 and doc["result"]["consistent"]
+        assert doc["result"]["scm"] == [["0", "0"], ["0", "0"],
+                                        ["0", "0"], ["2", "0"]]
+
+    @pytest.mark.parametrize("e,error", [
+        (lambda e: [["7"] + e[0][1:]] + e[1:],
+         "ShapeError: lumped E must equal the block-diagonal E"),
+        (lambda e: [["1"]], "DimensionError: lumped E has 1 rows"),
+        (lambda e: [row[:-1] for row in e], "DimensionError: lumped E row"),
+    ], ids=["wrong value", "wrong shape", "short rows"])
+    def test_wrong_lumped_e_exit_2(self, model_path, tmp_path, schema, e,
+                                   error):
+        _, doc = run_json(["lump", model_path, "--scm", PHI_EQ_INLINE],
+                          schema)
+        lumped = doc["result"]["lumped"]
+        lumped["E"] = e(lumped["E"])
+        lpath = tmp_path / "lumped.json"
+        lpath.write_text(json.dumps(lumped))
+        code, doc = run_json(["reconstruct", model_path, "--lumped",
+                              str(lpath), "--strict"], schema)
+        assert code == 2
+        assert doc["error"].startswith(error)
+
     def test_zero_deviation_file(self, model_path, tmp_path, schema):
         nds_doc = demo_model_json()
         sub = nds_doc["subsystems"][0]

@@ -226,6 +226,23 @@ class TestOneKernelDecision:
         assert again == rep
         assert rep.stacked.is_fcr() == (verdict == IDENTIFIABLE)
 
+    @pytest.mark.parametrize("which,clearings", [
+        ("chain2", 2), ("chain4", 2), ("dense", 1)])
+    def test_rows_cleared_once_per_kernel(self, which, clearings,
+                                          monkeypatch):
+        # the certificate and the RREF of the matrix share one clearing;
+        # the RREF of the basis is the second
+        import ndscope.identifiability as ident
+        rep = check_identifiable_at(*self._network(which))
+        calls = []
+        monkeypatch.setattr(rm, "_cleared", lambda m, _f=rm._cleared:
+                            calls.append(len(m)) or _f(m))
+        again = ident._stacked_report(rep.case, rep.stacked, rep.transposed,
+                                      rep.warnings)
+        assert again == rep
+        assert len(calls) == clearings
+        assert calls[0] == rep.stacked.rows
+
 
 class TestVerdicts:
     def test_fixture_not_identifiable(self):

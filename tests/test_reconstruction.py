@@ -9,8 +9,8 @@ import pytest
 import ndscope.ratmat as rm
 import ndscope.reconstruction as recon
 from helpers import (
-    dense_consistency, feedback_tfm, rand_mat, rand_reconstructible_nds,
-    rand_subsystem, rand_wellposed_scm,
+    dense_consistency, dense_lump, feedback_tfm, rand_mat,
+    rand_reconstructible_nds, rand_subsystem, rand_wellposed_scm,
 )
 from ndscope.fixtures import PHI0, PHI_DIFF, PHI_EQUIV, demo_nds
 from ndscope.model import (
@@ -502,6 +502,60 @@ class TestDenseOracle:
             assert seen[key] >= 3, (key, seen)
 
 
+class TestDenseLump:
+    """lump on int blocks against the dense field route
+    (helpers.dense_lump): equal models, and Fraction entries only."""
+
+    def test_seeded_differential(self):
+        rng = random.Random(415)
+        seen = Counter()
+        for trial in range(40):
+            nds = NdsDefinition(subsystems=tuple(
+                rand_subsystem(rng, rng.randint(1, 4), rng.randint(1, 3),
+                               rng.randint(0, 2), rng.randint(1, 3),
+                               rng.randint(0, 2), allow_singular_e=True)
+                for _ in range(rng.randint(1, 4))))
+            subs = nds.subsystems
+            seen["n_u = 0"] += any(s.n_u == 0 for s in subs)
+            seen["n_y = 0"] += any(s.n_y == 0 for s in subs)
+            seen["singular E"] += any(rm.rank(s.E) < s.n_x for s in subs)
+            seen["n_v != n_z"] += any(s.n_v != s.n_z for s in subs)
+            if trial % 4 == 0:
+                seen["2^40 denominators"] += 1
+                entries = [[F(rng.randint(-2 ** 50, 2 ** 50),
+                              2 ** 40 + rng.randint(1, 99))
+                            for _ in range(nds.m_z)] for _ in range(nds.m_v)]
+            else:
+                entries = rand_mat(rng, nds.m_v, nds.m_z)
+            phi = SCMatrix(rm.freeze(entries))
+            try:
+                want = dense_lump(nds, phi)
+            except NotWellPosed:
+                seen["not well posed"] += 1
+                with pytest.raises(NotWellPosed):
+                    lump(nds, phi)
+                continue
+            got = lump(nds, phi)
+            assert got == want
+            for name in ("E_hat", "A_hat", "B_hat", "C_hat", "D_hat"):
+                assert all(type(x) is F for row in getattr(got, name)
+                           for x in row)
+        for key in ("n_u = 0", "n_y = 0", "singular E", "n_v != n_z",
+                    "2^40 denominators"):
+            assert seen[key] >= 3, (key, seen)
+
+    def test_zero_u_and_y_ports(self):
+        # m_u = 0 and m_y = 0: B and D have no columns, C and D no rows
+        rng = random.Random(8)
+        nds = NdsDefinition(subsystems=tuple(
+            rand_subsystem(rng, 2, 1, 0, 1, 0) for _ in range(2)))
+        phi = SCMatrix(rm.freeze(rand_mat(rng, 2, 2)))
+        got = lump(nds, phi)
+        assert got == dense_lump(nds, phi)
+        assert got.B_hat == ((),) * nds.m_x
+        assert got.C_hat == got.D_hat == ()
+
+
 def variant0_network(rng, n_subs):
     """Reconstructible, well-posed network of n_subs subsystems in the
     shapes of the benchmark's variant 0 (n_x = 4, n_u = 1, n_v = n_z and
@@ -546,6 +600,18 @@ class TestBlockScaling:
             k = (s.n_x + s.n_y, s.n_v)
             blocks |= {k, k[::-1], (s.n_z, s.n_x + s.n_u)}
         assert null_inputs and set(null_inputs) <= blocks
+
+    def test_deviation_rows_cleared_once(self, monkeypatch):
+        # the full-size E_d is cleared once per consistency pass, not
+        # once per block product
+        nds, phi = variant0_network(random.Random(3), 4)
+        model = lump(nds, phi)
+        rows = []
+        monkeypatch.setattr(rm, "_cleared", lambda m, _f=rm._cleared:
+                            rows.append(len(m)) or _f(m))
+        report = recon._consistency(nds, model)[0]
+        assert report.consistent
+        assert rows.count(nds.m_x + nds.m_y) == 1
 
     def test_round_trip_n16(self):
         nds, phi = variant0_network(random.Random(16), 16)
