@@ -9,7 +9,8 @@ Subpackages:
 * ``identifiability`` the rank tests, undifferentiable regions and the
                      constrained variants;
 * ``reconstruction`` lumping and exact SCM recovery;
-* ``sim``            PRBS simulation, distances, margins, tau sweeps;
+* ``sim``            PRBS simulation, distances, margins, tau sweeps: the
+                     only user of numpy and scipy, loaded on first use;
 * ``cli``            the ``ndscope`` command-line tool.
 """
 
@@ -35,11 +36,23 @@ from .reconstruction import (
     ConsistencyReport, LumpedModel, ReconReport, check_consistency,
     check_reconstructible, lump, lump_descriptor, lumped_tfm, recover_scm,
 )
-from .sim import (
-    FloatRealization, SimConfig, StabilityMargins, Trajectory,
-    choose_sampling, distance_freq, distance_scm, distance_time, eig, expm,
-    freq_response, prbs, relative_error, screen, sigma_max, simulate,
-    stability_margins, stm, svd, tau_sweep,
-)
 
 __version__ = "0.1.0"
+
+# ``sim``'s re-exports, resolved on first use by ``__getattr__`` (PEP 562)
+_SIM_NAMES = frozenset((
+    "FloatRealization", "SimConfig", "StabilityMargins", "Trajectory",
+    "choose_sampling", "distance_freq", "distance_scm", "distance_time", "eig",
+    "expm", "freq_response", "prbs", "relative_error", "screen", "sigma_max",
+    "simulate", "stability_margins", "stm", "svd", "tau_sweep"))
+
+
+def __getattr__(name):
+    if name in _SIM_NAMES:
+        from . import sim
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SIM_NAMES)

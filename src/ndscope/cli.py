@@ -5,7 +5,8 @@ sweep, reproduce-paper.  Reports are JSON on stdout; file artifacts
 (CSV, SVG, JSON) go to --out-dir and are written atomically.  Exit
 codes: 0 success, 1 negative verdict under --strict (or a failed
 reproduction check), 2 input error, 3 numerical failure or a sample
-count above ``sim.MAX_SAMPLES``.
+count above ``sim.MAX_SAMPLES``.  Only the float commands (simulate,
+sweep, reproduce-paper) import ``sim``, and with it numpy and scipy.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import sys
 import tempfile
 from fractions import Fraction
 
-import numpy as np
-
 from . import fixtures, ratmat, svgplot
 from .identifiability import (
     IDENTIFIABLE, NOT_IDENTIFIABLE, UndiffRegion, check_identifiable_at,
@@ -30,15 +29,10 @@ from .model import (
     KnownEntries, SCMatrix, SchemaError, _index, _json_doc, _parse_matrix,
     _rows, nds_tfm, parse_constraints, parse_model, parse_rat, tfm_equal,
 )
-from .polymat import InputError
+from .polymat import InputError, NoConvergence, ShapeError, TooManySamples
 from .reconstruction import (
     LUMPED_SHAPES, LumpedModel, check_and_recover, check_reconstructible,
     lump, recover_scm,
-)
-from .sim import (
-    NoConvergence, SimConfig, TooManySamples, choose_sampling, distance_time,
-    freq_response, hinf_norm, prbs, relative_error, screen, sigma_max,
-    simulate, tau_sweep,
 )
 
 DEFAULT_SEED = 0
@@ -222,10 +216,12 @@ def _load_lumped(path, nds) -> LumpedModel:
         name = f"lumped {key}"
         parsed[key + "_hat"] = _parse_matrix(
             _rows(doc[key], name), nds.total(r), nds.total(c), name)
-    # E is optional; the consistency test checks a given one against the NDS
-    e = _parse_matrix(_rows(doc["E"], "lumped E"), nds.m_x, nds.m_x,
-                      "lumped E") if "E" in doc else nds.block("E")
-    return LumpedModel(E_hat=ratmat.freeze(e), **parsed)
+    # E is optional; a given one must be the NDS's, reconstructible or not
+    e = ratmat.freeze(nds.block("E"))
+    if "E" in doc and _parse_matrix(_rows(doc["E"], "lumped E"), nds.m_x,
+                                    nds.m_x, "lumped E") != e:
+        raise ShapeError("lumped E must equal the block-diagonal E exactly")
+    return LumpedModel(E_hat=e, **parsed)
 
 
 def cmd_reconstruct(args) -> int:
@@ -276,6 +272,7 @@ def cmd_lump(args) -> int:
 
 def _simulate_pair(nds, screens, seed):
     """(T, M, u, trajectories) of two passing screenings under one PRBS."""
+    from .sim import SimConfig, choose_sampling, prbs, simulate
     t, m = choose_sampling(*(s.margins for s in screens))
     u = prbs(seed, m, nds.m_u)
     cfg = SimConfig(T=t, M=m, seed=seed)
@@ -283,6 +280,8 @@ def _simulate_pair(nds, screens, seed):
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+    from .sim import distance_time, hinf_norm, relative_error, screen
     nds, embedded, _ = load_model(args.model)
     phi_a = load_scm(args.scm_a, nds)
     phi_b = load_scm(args.scm_b, nds)
@@ -350,6 +349,7 @@ def _parse_tau_grid(text: str):
 
 
 def _sweep_one(packed):
+    from .sim import tau_sweep
     nds, phi0, direction, taus, seed, region = packed
     return tau_sweep(nds, phi0, direction, taus, region=region, seed=seed)
 
@@ -368,6 +368,8 @@ def _usable_cpus() -> int:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+    from .sim import freq_response
     nds, embedded, _ = load_model(args.model)
     phi0 = resolve_scm(args.scm0, nds, embedded, flag="--scm0")
     if args.directions == "paper":
@@ -479,6 +481,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reproduce_paper(args) -> int:
+    import numpy as np
+    from .sim import relative_error, screen, tau_sweep
     nds = fixtures.demo_nds()
     phi0, phi_u, phi_i = fixtures.PHI0, fixtures.PHI_EQUIV, fixtures.PHI_DIFF
     seed = args.seed if args.seed is not None else default_seed()
@@ -580,6 +584,8 @@ def cmd_reproduce_paper(args) -> int:
 def _spot_value_scan(nds, phi0, direction):
     """Retained-grid d_F maximum for one direction plus the graze probe;
     a grid point is retained when it passes ``sim.screen``."""
+    import numpy as np
+    from .sim import hinf_norm, screen, sigma_max
     delta = ratmat.sub(direction.as_lists(), phi0.as_lists())
 
     def screened(tau):

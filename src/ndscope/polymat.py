@@ -65,6 +65,14 @@ class ShapeError(InputError, ValueError):
     pass
 
 
+class NoConvergence(ArithmeticError):
+    """Eigenvalue or SVD iteration failed to converge."""
+
+
+class TooManySamples(ArithmeticError):
+    """The sampling rule asks for more than ``sim.MAX_SAMPLES`` samples."""
+
+
 class BrokenInvariant(ArithmeticError):
     """Exact arithmetic broke one of its own invariants: a program bug,
     never an input error."""

@@ -83,7 +83,8 @@ from .model import (
     NdsDefinition, NotRegular, NotWellPosed, SCMatrix, _check_subsystems,
     descriptor_tfm, lifted_realization, nds_tfm,
 )
-from .polymat import InputError, RatFunMat, ShapeError
+from .polymat import (InputError, NoConvergence, RatFunMat, ShapeError,
+                      TooManySamples)
 from .reconstruction import lump
 
 STABILITY_TOL = 1e-10
@@ -99,10 +100,6 @@ _BLOCK = 32
 _GRID = 2000
 
 
-class NoConvergence(ArithmeticError):
-    """Eigenvalue or SVD iteration failed to converge."""
-
-
 class SingularE(InputError, ArithmeticError):
     """Simulation requires an invertible lumped E (no impulsive modes)."""
 
@@ -113,10 +110,6 @@ class ZeroSpectrum(InputError, ArithmeticError):
 
 class Unstable(InputError, ArithmeticError):
     """The H-infinity distance is undefined for unstable systems."""
-
-
-class TooManySamples(ArithmeticError):
-    """The sampling rule asks for more than MAX_SAMPLES samples."""
 
 
 @dataclass

@@ -365,6 +365,30 @@ class TestReconstructAndLump:
         assert code == 2
         assert doc["error"].startswith(error)
 
+    def test_wrong_lumped_e_exit_2_when_not_reconstructible(self, tmp_path,
+                                                            schema):
+        # with v cut off from y in subsystem 1, no consistency test runs
+        nds_doc = demo_model_json()
+        sub = nds_doc["subsystems"][0]
+        for key in ("B_xv", "D_yv"):
+            sub[key] = [["0"] * len(row) for row in sub[key]]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(nds_doc))
+        _, doc = run_json(["lump", str(path)], schema)
+        lumped = doc["result"]["lumped"]
+        lpath = tmp_path / "lumped.json"
+        lpath.write_text(json.dumps(lumped))
+        code, doc = run_json(["reconstruct", str(path), "--lumped",
+                              str(lpath)], schema)
+        assert code == 0 and doc["result"]["reconstructible"] is False
+        lumped["E"][0][0] = "7"
+        lpath.write_text(json.dumps(lumped))
+        code, doc = run_json(["reconstruct", str(path), "--lumped",
+                              str(lpath)], schema)
+        assert code == 2
+        assert doc["error"].startswith(
+            "ShapeError: lumped E must equal the block-diagonal E")
+
     def test_zero_deviation_file(self, model_path, tmp_path, schema):
         nds_doc = demo_model_json()
         sub = nds_doc["subsystems"][0]
