@@ -11,12 +11,20 @@ module.  The central objects are
 * ``right_coprime_mfd`` / ``proper_split`` -- coprime fraction
   descriptions of rational matrices.
 
-A ``Poly`` keeps canonical ``Fraction`` coefficients; its product and
-gcd run on ints.  A product clears each operand by the lcm of its
-denominators, convolves the ints and makes one ``Fraction`` per output
-coefficient.  ``poly_gcd`` is a primitive remainder sequence over Z
-(Brown, J. ACM 18, 1971): integer pseudo-remainders, each divided by its
-content; made monic, the last one is the unique monic gcd.
+A ``Poly`` keeps canonical ``Fraction`` coefficients; its kernels run on
+ints: each clears its operands once, by the lcm of their denominators,
+and makes one ``Fraction`` per output coefficient (``Poly._of``, with no
+coercion).  ``_add_mul`` forms x + q y: a product (x = 0), and the row
+and column update of ``smith_form``, which clears q once per operation.
+Division (``_int_rem``) keeps s a = q b + r over Z.  Each step, with
+leading coefficients c of r and L of b, multiplies s, q and r by
+m = L / gcd(c, L) and puts t = c / gcd(c, L) into q.  This divides out
+gcd(s, q, r) as it arises; it stays 1 (a common factor divides t, so is
+prime to m, so divided s, q and r before).  Plain pseudo-division (Knuth,
+TAOCP 2, 4.6.1) multiplies by L and keeps that content: its numbers grow.
+``divides`` runs the loop without q.  ``poly_gcd`` is a primitive
+remainder sequence over Z (Brown, J. ACM 18, 1971): these remainders,
+each divided by its content; made monic, the last is the unique monic gcd.
 
 ``PolyMat.det`` and ``PolyMat.solve`` eliminate over the ring Q[s]:
 ``ratmat``'s fraction-free elimination with an exact polynomial quotient
@@ -105,6 +113,15 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _of(cls, cs: list) -> "Poly":
+        """Kernel-made canonical Fractions, trailing zeros stripped."""
+        while cs and not cs[-1]:
+            cs.pop()
+        p = cls.__new__(cls)
+        p.coeffs = tuple(cs)
+        return p
+
+    @classmethod
     def const(cls, c):
         return cls((c,))
 
@@ -140,7 +157,7 @@ class Poly:
         lc = self.leading
         if lc == 1:
             return self
-        return Poly(tuple(c / lc for c in self.coeffs))
+        return Poly._of([c / lc for c in self.coeffs])
 
     def bitsize(self) -> int:
         return sum(
@@ -162,7 +179,7 @@ class Poly:
         return hash(self.coeffs)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._of([-c for c in self.coeffs])
 
     def __add__(self, other):
         other = _as_poly(other)
@@ -174,7 +191,7 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._of(out)
 
     __radd__ = __add__
 
@@ -196,13 +213,10 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return P_ZERO
-        (a, da), (b, db) = _ints(self.coeffs), _ints(other.coeffs)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return Poly(Fraction(c, da * db) for c in out)
+        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
+            (c,), p = sorted((self.coeffs, other.coeffs), key=len)
+            return Poly._of([c * x for x in p])
+        return _add_mul(P_ZERO, _ints(self.coeffs), other)
 
     __rmul__ = __mul__
 
@@ -212,22 +226,13 @@ class Poly:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        dlc = other.leading
-        dd = len(other.coeffs) - 1
-        while len(rem) - 1 >= dd and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            k = len(rem) - 1 - dd
-            f = rem[-1] / dlc
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return Poly(q), Poly(rem)
+        if len(self.coeffs) < len(other.coeffs):
+            return P_ZERO, self
+        (a, da), (b, db) = _ints(self.coeffs), _ints(other.coeffs)
+        q = [0] * (len(a) - len(b) + 1)
+        s, r = _int_rem(a, b, q)
+        return (Poly._of([Fraction(x * db, s * da) for x in q]),
+                Poly._of([Fraction(x, s * da) for x in r]))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -236,9 +241,10 @@ class Poly:
         return divmod(self, other)[1]
 
     def divides(self, other) -> bool:
-        if self.is_zero:
-            return _as_poly(other).is_zero
-        return (_as_poly(other) % self).is_zero
+        other = _as_poly(other)
+        if self.is_constant or len(other.coeffs) < len(self.coeffs):
+            return other.is_zero or len(self.coeffs) == 1
+        return not _int_rem(_ints(other.coeffs)[0], _ints(self.coeffs)[0])[1]
 
     def __call__(self, x):
         exact = isinstance(x, (int, Fraction))
@@ -293,6 +299,44 @@ def _ints(coeffs):
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
+def _int_rem(a, b, q=None):
+    """(s, r), s a = q b + r over Z, deg r < deg b; fills q if given."""
+    n, lb, s, a = len(b), b[-1], 1, list(a)
+    while len(a) >= n:
+        g, k = gcd(a[-1], lb), len(a) - n
+        m, t = lb // g, a[-1] // g
+        if m != 1:
+            s, a = s * m, [m * x for x in a]
+        if q is not None:
+            q[k:] = [t] + [m * x for x in q[k + 1:]]
+        for i, y in enumerate(b, k):
+            a[i] -= t * y
+        while a and not a[-1]:
+            a.pop()
+    return s, a
+
+
+def _add_mul(x: Poly, q, y: Poly) -> Poly:
+    """x + q y for a nonzero q cleared by ``_ints`` (module docstring)."""
+    if not y.coeffs:
+        return x
+    (qi, qd), (yi, yd) = q, _ints(y.coeffs)
+    out, den = [0] * (len(qi) + len(yi) - 1), qd * yd
+    for i, u in enumerate(qi):
+        if u:
+            for j, v in enumerate(yi, i):
+                out[j] += u * v
+    if x.coeffs:
+        xi, xd = _ints(x.coeffs)
+        d = lcm(den, xd)
+        f, g = d // den, d // xd
+        out = [f * c for c in out] + [0] * (len(xi) - len(out))
+        for k, c in enumerate(xi):
+            out[k] += g * c
+        den = d
+    return Poly._of([Fraction(c, den) for c in out])
+
+
 S = Poly.var()
 P_ZERO = Poly()
 P_ONE = Poly.const(1)
@@ -305,15 +349,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return (a + b).monic()
     u, v = _ints(a.coeffs)[0], _ints(b.coeffs)[0]
     while len(v) > 1:
-        # r = lc(v)^k u mod v, k up to deg u - deg v + 1
-        r, lc, n = u, v[-1], len(v)
-        while len(r) >= n:
-            c, k = r[-1], len(r) - n
-            r = [lc * x for x in r]
-            for i, y in enumerate(v, k):
-                r[i] -= c * y
-            while r and not r[-1]:
-                r.pop()
+        r = _int_rem(u, v)[1]
         if not r:
             return Poly(Fraction(x, v[-1]) for x in v)
         g = gcd(*r)
@@ -827,17 +863,19 @@ class _Tracker:
         """row_i += q * row_j"""
         if q.is_zero:
             return
-        self.s[i] = [x + q * y for x, y in zip(self.s[i], self.s[j])]
-        self.l[i] = [x + q * y for x, y in zip(self.l[i], self.l[j])]
+        q = _ints(q.coeffs)
+        self.s[i] = [_add_mul(x, q, y) for x, y in zip(self.s[i], self.s[j])]
+        self.l[i] = [_add_mul(x, q, y) for x, y in zip(self.l[i], self.l[j])]
 
     def add_col(self, i, j, q: Poly):
         """col_i += q * col_j"""
         if q.is_zero:
             return
+        q = _ints(q.coeffs)
         for row in self.s:
-            row[i] = row[i] + q * row[j]
+            row[i] = _add_mul(row[i], q, row[j])
         for row in self.r:
-            row[i] = row[i] + q * row[j]
+            row[i] = _add_mul(row[i], q, row[j])
 
     def scale_col(self, i, c: Fraction):
         c = Poly.const(c)

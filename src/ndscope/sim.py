@@ -586,10 +586,20 @@ def hinf_norm(diff: RatFunMat, domain: str = "continuous") -> float:
     ``math.inf``.  A pole on the axis between grid points still gives a
     large finite value: 1/(s^2 + 4) gives 9.95e9.  ``screen`` rejects such
     systems before any distance; an exact test of the axis is not made.
+    In continuous time the exact limit H(inf) counts too: ``math.inf`` for
+    an improper entry, lc(num)/lc(den) where the degrees agree.
     """
     if diff.is_zero:
         return 0.0
+    at_inf = 0.0
     if domain == "continuous":
+        at_inf = math.inf
+        if all(e.is_proper for row in diff.entries for e in row):
+            lim = [[0.0 if e.is_strictly_proper else
+                    float(e.num.leading / e.den.leading) for e in row]
+                   for row in diff.entries]
+            at_inf = float(_sigma_max(np.array([lim], dtype=complex))[0])
+
         def pts(ts):
             return 1j * ts
         ts = np.concatenate(([0.0], np.logspace(-3.0, 3.0, _GRID)))
@@ -629,7 +639,7 @@ def hinf_norm(diff: RatFunMat, domain: str = "continuous") -> float:
         if abs(b_t - a_t) <= 1e-12 + 1e-9 * abs(b_t) or \
                 (peak > 0 and abs(fd - fc) <= 1e-7 * peak):
             break
-    return max(best, fc, fd)
+    return max(best, fc, fd, at_inf)
 
 
 def distance_scm(phi_t: SCMatrix, region) -> float:

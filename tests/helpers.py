@@ -335,10 +335,30 @@ def fraction_mul(a: Poly, b: Poly) -> Poly:
     return Poly(out)
 
 
+def fraction_divmod(a: Poly, b: Poly):
+    """(q, r) with a = q b + r, deg r < deg b, by Fraction long division."""
+    q = [Fraction(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
+    rem = list(a.coeffs)
+    dlc = b.leading
+    dd = len(b.coeffs) - 1
+    while len(rem) - 1 >= dd and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dd:
+            break
+        k = len(rem) - 1 - dd
+        f = rem[-1] / dlc
+        q[k] = f
+        for i, c in enumerate(b.coeffs):
+            rem[k + i] -= f * c
+        rem.pop()
+    return Poly(q), Poly(rem)
+
+
 def euclid_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by Euclid's algorithm with Fraction remainders."""
     while not b.is_zero:
-        a, b = b, a % b
+        a, b = b, fraction_divmod(a, b)[1]
     return a.monic()
 
 

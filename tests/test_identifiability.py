@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -973,3 +974,30 @@ class TestA3Defect:
         region = undiff_region(rep, phi0)
         assert verify_region_by_tfm(nds, phi0, region, n_in=5, n_out=5,
                                     seed=0)
+
+
+IDENT_POOL = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+              / "ident_pool.json")
+
+
+def _stored_pool():
+    with open(IDENT_POOL, encoding="utf-8") as fh:
+        return json.load(fh)["instances"]
+
+
+class TestStoredIdentPool:
+    """The exact outputs stored with the benchmark's ident pool: case,
+    verdict, transposition, null basis and the stacked degree p, which
+    the kernels of ``polymat`` must not move."""
+
+    @pytest.mark.parametrize("inst", _stored_pool(), ids=lambda i: i["id"])
+    def test_instance_matches_stored_expectation(self, inst):
+        nds, phi, _ = parse_model(json.dumps(inst["model"]))
+        rep = check_identifiable_at(nds, phi)
+        exp = inst["expect"]
+        basis = None if rep.null_basis is None else [
+            [str(F(x)) for x in row] for row in rep.null_basis]
+        got = (rep.case.kind, rep.verdict, rep.transposed, basis,
+               None if rep.stacked is None else rep.stacked.p)
+        assert got == (exp["case"], exp["verdict"], exp["transposed"],
+                       exp["null_basis"], exp["p"])

@@ -7,14 +7,14 @@ import pytest
 import ndscope.ratmat as rm
 from helpers import (
     euclid_gcd, field_det, field_inv, field_poly_det, field_poly_solve,
-    field_rank, fraction_mul, rand_poly, rand_polymat, rand_ratfunmat,
-    rand_unimodular,
+    field_rank, fraction_divmod, fraction_mul, rand_poly, rand_polymat,
+    rand_ratfunmat, rand_unimodular,
 )
 from ndscope.polymat import (
     NEG_INF, BrokenInvariant, NotUnimodular, Poly, PolyMat, RatFun, RatFunMat, S,
-    is_coprime_right, normal_rank, poly_gcd, poly_lcm, proper_split,
-    rank_at_point, right_coprime_mfd, smith_form, smith_mcmillan,
-    unimodular_inverse,
+    _add_mul, _ints, is_coprime_right, normal_rank, poly_gcd, poly_lcm,
+    proper_split, rank_at_point, right_coprime_mfd, smith_form,
+    smith_mcmillan, unimodular_inverse,
 )
 
 
@@ -100,6 +100,67 @@ class TestIntegerKernels:
                 seen.add("common" if g.degree > 0 else "coprime"
                          if not g.is_zero else "zero")
         assert seen == {"common", "coprime", "zero"}
+
+    @staticmethod
+    def canonical(p):
+        return (all(type(c) is F for c in p.coeffs)
+                and (not p.coeffs or p.coeffs[-1] != 0))
+
+    def division_pairs(self, rng, bits, count):
+        """At least ``count`` random draws (a, b), b != 0, each with a b
+        and a b + c, until every shape the kernel branches on was drawn:
+        a zero dividend, a constant divisor, deg a < deg b, a negative
+        leading coefficient on either side and an exact division."""
+        shapes = set()
+        while count > 0 or len(shapes) < 6:
+            a, b, c = (kernel_poly(rng, bits) for _ in range(3))
+            if b.is_zero:
+                continue
+            count -= 1
+            shapes.update(k for k, hit in (
+                ("zero", a.is_zero), ("constant", b.degree == 0),
+                ("short", 0 <= a.degree < b.degree),
+                ("negative a", a and a.leading < 0),
+                ("negative b", b.degree > 0 and b.leading < 0),
+                ("exact", a and b.degree > 0)) if hit)
+            yield from ((a, b), (a * b, b), (a * b + c, b))
+
+    @pytest.mark.parametrize("bits", [2, 40, 1000])
+    def test_divmod_and_divides_equal_fraction_loop(self, bits):
+        rng = random.Random(200 + bits)
+        for a, b in self.division_pairs(rng, bits, 20 if bits >= 1000
+                                        else 60):
+            q, r = divmod(a, b)
+            assert (q, r) == fraction_divmod(a, b)
+            assert self.canonical(q) and self.canonical(r)
+            assert (a // b, a % b) == (q, r)
+            assert b.divides(a) == r.is_zero
+            assert Poly().divides(a) == a.is_zero
+        assert P(0, 1).divides(P(0, 0, 3)) and not P(1, 1).divides(P(1))
+        assert P(F(-2, 3)).divides(P(5, 7)) and Poly().divides(Poly())
+
+    @pytest.mark.parametrize("bits", [2, 40, 1000])
+    def test_fused_update_equals_product_and_sum(self, bits):
+        rng = random.Random(400 + bits)
+        for _ in range(20 if bits >= 1000 else 60):
+            x, q, y = (kernel_poly(rng, bits) for _ in range(3))
+            q = q or P(F(-5, 7))
+            got = _add_mul(x, _ints(q.coeffs), y)
+            assert got == x + fraction_mul(q, y)
+            assert self.canonical(got)
+            # x = -q y cancels to the zero polynomial
+            assert _add_mul(-(q * y), _ints(q.coeffs), y) == Poly()
+
+    def test_division_edge_cases(self):
+        b = P(F(1, 2), -3)                     # -3 s + 1/2
+        assert divmod(Poly(), b) == (Poly(), Poly())
+        assert divmod(P(4), b) == (Poly(), P(4))
+        assert divmod(P(1, 2, 3), P(F(-2, 5))) == (
+            P(F(-5, 2), -5, F(-15, 2)), Poly())
+        # (s^2 - 1) / (-3 s + 1/2): q = -s/3 - 1/18, r = -35/36
+        assert divmod(P(-1, 0, 1), b) == (P(F(-1, 18), F(-1, 3)),
+                                          P(F(-35, 36)))
+        assert divmod(P(-1, 0, 1) * b, b) == (P(-1, 0, 1), Poly())
 
     def test_gcd_negative_leading_and_ratfun(self):
         # -2 (s - 2)(s - 3) and (s - 3)(1 + s/2)

@@ -583,6 +583,27 @@ class TestFrequencyKernels:
         assert hinf_norm(RatFunMat(1, 1, [diff.entries[0][:1]]),
                          domain) == math.inf
 
+    def test_hinf_counts_the_value_at_infinity(self):
+        # s/(s + 1) and (2s + 1)/(s + 1) approach their norms 1 and 2 as
+        # w -> inf, beyond the last grid point; s is unbounded there
+        assert hinf_norm(RatFunMat(1, 1, [[_rf((0, 1), (1, 1))]])) == 1.0
+        assert hinf_norm(RatFunMat(1, 1, [[_rf((1, 2), (1, 1))]])) == 2.0
+        assert hinf_norm(RatFunMat(1, 1, [[_rf((0, 1))]])) == math.inf
+        # [s/(s + 1), 1/(s + 2)]: sigma^2 = 1 - 1/(1 + w^2) + 1/(4 + w^2)
+        # stays below 1 on the axis; the sup, 1, is H(inf) = [1, 0]
+        mixed = RatFunMat(1, 2, [[_rf((0, 1), (1, 1)), _rf((1,), (2, 1))]])
+        assert hinf_norm(mixed) == 1.0
+        improper = RatFunMat(2, 1, [[_rf((1,), (1, 1))], [_rf((0, 0, 1),
+                                                              (1, 1))]])
+        assert hinf_norm(improper) == math.inf
+
+    def test_hinf_discrete_ignores_the_continuous_limit(self):
+        # in z the unit circle is bounded: |z| = 1, |z/(z - 1/2)| <= 2
+        assert hinf_norm(RatFunMat(1, 1, [[_rf((0, 1))]]),
+                         "discrete") == pytest.approx(1.0, rel=1e-12)
+        diff = RatFunMat(1, 1, [[_rf((0, 1), (F(-1, 2), 1))]])
+        assert hinf_norm(diff, "discrete") == pytest.approx(2.0, rel=1e-12)
+
     def test_hinf_pole_between_grid_points_is_finite(self):
         # 1/(s^2 + 4): the pole at w = 2 falls between grid points
         got = hinf_norm(RatFunMat(1, 1, [[_rf((1,), (4, 0, 1))]]))
