@@ -213,9 +213,6 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return P_ZERO
-        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
-            (c,), p = sorted((self.coeffs, other.coeffs), key=len)
-            return Poly._of([c * x for x in p])
         return _add_mul(P_ZERO, _ints(self.coeffs), other)
 
     __rmul__ = __mul__
